@@ -18,6 +18,8 @@ fitkit
     Levenberg-Marquardt engine and the experiment-specific fit models.
 synth
     Deterministic synthetic photon-count data.
+experiments
+    Experiment registry: config schema and file-free compute per experiment.
 cli
     Configuration-driven experiment runner with CSV/SVG output.
 """

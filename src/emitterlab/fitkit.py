@@ -124,6 +124,17 @@ def lm_fit(
         f = model(x, **dict(zip(names, p)))
         return np.asarray(f, dtype=float)
 
+    def jacobian(q):
+        """Weighted central-difference Jacobian of the model at q."""
+        jac = np.empty((x.size, len(names)))
+        for j in range(len(names)):
+            h = _JAC_REL_STEP * max(abs(q[j]), 1e-3)
+            qp, qm = q.copy(), q.copy()
+            qp[j] += h
+            qm[j] -= h
+            jac[:, j] = w * (evaluate(qp) - evaluate(qm)) / (2.0 * h)
+        return jac
+
     q = to_q(np.array([float(p0[n]) for n in names]))
     f = evaluate(q)
     if not np.all(np.isfinite(f)):
@@ -137,13 +148,7 @@ def lm_fit(
     message = "max iterations (%d) reached" % max_iter
     while n_iter < max_iter:
         n_iter += 1
-        jac = np.empty((x.size, len(names)))
-        for j in range(len(names)):
-            h = _JAC_REL_STEP * max(abs(q[j]), 1e-3)
-            qp, qm = q.copy(), q.copy()
-            qp[j] += h
-            qm[j] -= h
-            jac[:, j] = w * (evaluate(qp) - evaluate(qm)) / (2.0 * h)
+        jac = jacobian(q)
         col_norms = np.linalg.norm(jac, axis=0)
         if np.any(col_norms == 0.0):
             dead = names[int(np.argmin(col_norms))]
@@ -197,13 +202,7 @@ def lm_fit(
     p = to_p(q)
     dof = max(x.size - len(names), 1)
     chi2_red = chi2 / dof
-    jac = np.empty((x.size, len(names)))
-    for j in range(len(names)):
-        h = _JAC_REL_STEP * max(abs(q[j]), 1e-3)
-        qp, qm = q.copy(), q.copy()
-        qp[j] += h
-        qm[j] -= h
-        jac[:, j] = w * (evaluate(qp) - evaluate(qm)) / (2.0 * h)
+    jac = jacobian(q)
     try:
         cov_q = np.linalg.inv(jac.T @ jac) * chi2_red
     except np.linalg.LinAlgError:

@@ -15,7 +15,6 @@ ground-coherence pure dephasing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,19 +171,16 @@ def at_map2d(
     omega_d: float,
     delta_c_range: Sequence[float],
     delta_d_range: Sequence[float],
-    workers: int = 1,
 ) -> np.ndarray:
     """Steady-state fluorescence on a (delta_C, delta_D) grid.
 
     Rows follow ``delta_c_range`` ascending, columns ``delta_d_range``
-    ascending.  Rows are independent; ``workers > 1`` computes them in a
-    thread pool.
+    ascending.
     """
     dcs = np.asarray(delta_c_range, dtype=float)
     dds = np.asarray(delta_d_range, dtype=float)
-
-    def row(dc: float) -> np.ndarray:
-        return np.array(
+    return np.array(
+        [
             [
                 _steady_fluorescence(
                     params,
@@ -197,14 +193,9 @@ def at_map2d(
                 )
                 for dd in dds
             ]
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, dcs))
-    else:
-        rows = [row(dc) for dc in dcs]
-    return np.vstack(rows)
+            for dc in dcs
+        ]
+    )
 
 
 def dip_splitting(curve: Curve) -> float:

@@ -16,8 +16,6 @@ from . import peaks, qdyn, tls
 from .errors import ModelError, NumericFailure
 from .qdyn import TimeGrid, TimeTrace
 from .tls import (
-    EXCITED,
-    PROJ_EXCITED,
     SIGMA_MINUS,
     SIGMA_PLUS,
     TWO_PI,
@@ -61,23 +59,7 @@ def g2_curve(params: TlsParams, drive: Drive, grid: TimeGrid) -> TimeTrace:
     """
     if abs(grid.t_start) > 1e-12:
         raise ModelError("g2 grid must start at tau = 0")
-    l = tls.tls_liouvillian(params, drive)
-    rho_ss = qdyn.steady_state(l)
-    p_ee = rho_ss[EXCITED, EXCITED].real
-    if p_ee < 1e-12:
-        raise ModelError("undriven emitter has no correlation function")
-    corr = qdyn.regression_correlator(
-        l,
-        rho_ss,
-        PROJ_EXCITED,
-        SIGMA_MINUS,
-        SIGMA_PLUS,
-        grid,
-        dt_int=tls.internal_step(params, TWO_PI * tls.generalized_rabi(drive)),
-    )
-    if np.max(np.abs(corr.imag)) > 1e-8:
-        raise NumericFailure("g2 correlator acquired an imaginary part")
-    g2 = corr.real / p_ee**2
+    g2 = tls.normalized_correlator(params, drive, grid)
     if np.min(g2) < -1e-9:
         raise NumericFailure(f"g2 went negative: min {np.min(g2):.3e}")
     g2 = np.maximum(g2, 0.0)
@@ -88,7 +70,6 @@ def g2_curve(params: TlsParams, drive: Drive, grid: TimeGrid) -> TimeTrace:
         "t2_ns": params.t2,
         "rabi_ghz": drive.rabi_ghz,
         "detuning_ghz": drive.detuning_ghz,
-        "rho_ee_ss": p_ee,
         "ylabel": "g2",
     }
     return TimeTrace(grid=full_grid, values=values, meta=meta)

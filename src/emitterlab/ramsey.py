@@ -52,11 +52,7 @@ def _pulse_amplitude(pulse: tls.PulseEnvelope, area: float = PULSE_AREA) -> floa
 def _run_pulse(l0, params, pulse, omega, phase, rho):
     coupling = 0.5 * (math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y)
     t_end = pulse.on_end()
-    segments = [
-        (t0, t1, (lambda t, f=a: omega * f(t)) if callable(a) else omega * a)
-        for t0, t1, a in tls.envelope_segments(pulse, t_end)
-        if t0 < t_end
-    ]
+    segments = tls.drive_segments(pulse, omega, t_end)
     grid = TimeGrid(0.0, t_end, 5)
     rhos = qdyn.evolve_driven(
         l0, coupling, segments, rho, grid, dt_int=tls.internal_step(params, omega)

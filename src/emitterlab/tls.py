@@ -214,8 +214,11 @@ def _population_formula(t1, t2, omega_g_angular, tau, mode):
     return 1.0 - env * inner
 
 
-def _numeric_normalized_correlator(params: TlsParams, drive: Drive, grid: TimeGrid):
-    """Regression-theorem excited-population correlator, normalized to 1."""
+def normalized_correlator(params: TlsParams, drive: Drive, grid: TimeGrid) -> np.ndarray:
+    """One-sided g2 on ``grid`` (tau >= 0), normalized to 1 at large delay.
+
+    Regression theorem: Tr[P_e exp(L tau)(sigma- rho_ss sigma+)] / rho_ee_ss^2.
+    """
     l = tls_liouvillian(params, drive)
     rho_ss = qdyn.steady_state(l)
     p_ee = rho_ss[EXCITED, EXCITED].real
@@ -230,6 +233,8 @@ def _numeric_normalized_correlator(params: TlsParams, drive: Drive, grid: TimeGr
         grid,
         dt_int=internal_step(params, TWO_PI * generalized_rabi(drive)),
     )
+    if np.max(np.abs(corr.imag)) > 1e-8:
+        raise NumericFailure("g2 correlator acquired an imaginary part")
     return corr.real / p_ee**2
 
 
@@ -245,7 +250,7 @@ def mu_mode_oracle() -> MuModeOracle:
     params = TlsParams(t1=1.85, t2=1.62)
     drive = Drive(rabi_ghz=1.0, detuning_ghz=0.0)
     grid = TimeGrid(0.0, 10.0, 501)
-    numeric = _numeric_normalized_correlator(params, drive, grid)
+    numeric = normalized_correlator(params, drive, grid)
     tau = grid.times()
     omega_g = TWO_PI * generalized_rabi(drive)
     rms = {}
@@ -336,6 +341,15 @@ def envelope_segments(pulse: PulseEnvelope, t_end: float) -> list:
     return segs
 
 
+def drive_segments(pulse: PulseEnvelope, omega: float, t_end: float) -> list:
+    """Segments of the drive amplitude omega * envelope(t) that start before t_end."""
+    return [
+        (t0, t1, (lambda t, f=a: omega * f(t)) if callable(a) else omega * a)
+        for t0, t1, a in envelope_segments(pulse, t_end)
+        if t0 < t_end
+    ]
+
+
 def rabi_trace_numeric(
     params: TlsParams, drive: Drive, pulse: PulseEnvelope, grid: TimeGrid
 ) -> TimeTrace:
@@ -353,12 +367,10 @@ def rabi_trace_numeric(
     l0 = qdyn.build_liouvillian(
         -TWO_PI * drive.detuning_ghz * PROJ_EXCITED, decay_jumps(params)
     )
-    scaled = [(t0, t1, (lambda t, f=a: omega * f(t)) if callable(a) else omega * a)
-              for t0, t1, a in envelope_segments(pulse, grid.t_end)]
     rhos = qdyn.evolve_driven(
         l0,
         0.5 * SIGMA_X,
-        scaled,
+        drive_segments(pulse, omega, grid.t_end),
         RHO_GROUND,
         grid,
         dt_int=internal_step(params, TWO_PI * generalized_rabi(drive)),
@@ -434,16 +446,11 @@ def pulsed_rabi_scan(
         if omega == 0.0:
             pops[i] = 0.0
             continue
-        segs = [
-            (t0, t1, (lambda t, f=a: omega * f(t)) if callable(a) else omega * a)
-            for t0, t1, a in envelope_segments(pulse, t_read)
-            if t0 < t_read
-        ]
         grid = TimeGrid(0.0, t_read, 9)
         rhos = qdyn.evolve_driven(
             qdyn.build_liouvillian(np.zeros((2, 2)), decay_jumps(params)),
             0.5 * SIGMA_X,
-            segs,
+            drive_segments(pulse, omega, t_read),
             RHO_GROUND,
             grid,
             dt_int=internal_step(params, omega),

@@ -55,7 +55,7 @@ def test_02_analytic_vs_lindblad_oracle():
         grid = TimeGrid(0.0, 10.0, 501)
         for rabi_ghz in (0.906, 1.304, 1.854):
             drive = tls.Drive(rabi_ghz)
-            numeric = tls._numeric_normalized_correlator(params, drive, grid)
+            numeric = tls.normalized_correlator(params, drive, grid)
             analytic = tls.rabi_population_analytic(
                 params, drive, grid.times(), oracle.mode
             )

@@ -31,6 +31,32 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="pulse_ns"):
             cli.validate_config("rabi_trace", {"pulse_ns": "20.0"})
 
+    @pytest.mark.parametrize("experiment,key", [
+        (name, key)
+        for name, entry in cli.EXPERIMENTS.items()
+        for key, spec in entry.schema.items()
+        if spec.type is float
+    ])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, experiment, key):
+        for value in ("nan", "inf", "-inf"):
+            code = cli.run(experiment=experiment, outdir=tmp_path / "out",
+                           overrides={key: value})
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"'{key}'" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment,key", [
+        ("mollow_spectrum", "n_freqs"),
+        ("lineshape", "n_points"),
+    ])
+    def test_size_minimum_exits_2_before_compute(self, tmp_path, capsys,
+                                                 experiment, key):
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: 1}) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_follow_headline_values(self):
         cfg = cli.validate_config("g2", {})
         assert cfg["t1_ns"] == 1.85
@@ -183,6 +209,45 @@ class TestDeterminism:
             tmp_path / "b" / "synth_counts.csv"
         ).read_bytes()
 
+    # cheap overrides per experiment; fit and synth read rabi_analytic output
+    CHEAP = {
+        "rabi_analytic": {"n_points": 101},
+        "rabi_trace": {"n_points": 301},
+        "detuning_map": {"n_detunings": 2},
+        "g2": {"n_points": 101, "tau_max_ns": 5},
+        "mollow_spectrum": {"t1_ns": 0.5, "t2_ns": 0.5, "n_freqs": 101},
+        "lineshape": {"n_points": 41},
+        "autler_scan": {"n_points": 61},
+        "autler_map": {"n_c": 5, "n_d": 5},
+        "pulsed_rabi": {"n_powers": 20},
+        "ramsey": {"n_taus": 4},
+        "lifetime": {"n_points": 51},
+        "fit": {"fit_model": "rabi"},
+        "synth": {"seed": 4},
+    }
+
+    @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+    def test_every_experiment_byte_identical(self, tmp_path, experiment):
+        overrides = dict(self.CHEAP[experiment])
+        if "input" in cli.EXPERIMENTS[experiment].schema:
+            assert cli.run(experiment="rabi_analytic", outdir=tmp_path / "m",
+                           overrides={"n_points": 101}) == 0
+            overrides["input"] = tmp_path / "m" / "rabi_analytic.csv"
+        for run in ("a", "b"):
+            assert cli.run(experiment=experiment, outdir=tmp_path / run,
+                           plot=True, overrides=overrides) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        if experiment != "fit":
+            assert any(name.endswith(".svg") for name in names)
+        if experiment in ("fit", "lineshape", "pulsed_rabi", "ramsey", "lifetime"):
+            assert any(name.endswith("_fit.csv") or name == "fit_report.csv"
+                       for name in names)
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes(), name
+
 
 class TestMain:
     def test_validate_subcommand(self, tmp_path, capsys):
@@ -196,6 +261,11 @@ class TestMain:
             "lifetime", "--out", str(tmp_path / "out")
         ]) == 0
         assert (tmp_path / "out" / "lifetime.csv").exists()
+
+    def test_threads_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["autler-map", "--threads", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     def test_run_subcommand_uses_config_experiment(self, tmp_path):
         cfg = write_cfg(tmp_path, "experiment = lifetime\nn_points = 51\n")

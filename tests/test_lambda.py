@@ -159,14 +159,6 @@ class TestAtMap2d:
             splittings.append(lam.dip_splitting(curve))
         assert splittings[1] > splittings[0]
 
-    def test_workers_give_identical_map(self):
-        params = lam.LambdaParams()
-        dcs = np.linspace(-0.5, 0.5, 7)
-        dds = np.linspace(-0.5, 0.5, 9)
-        serial = lam.at_map2d(params, 0.4, 0.1, dcs, dds, workers=1)
-        threaded = lam.at_map2d(params, 0.4, 0.1, dcs, dds, workers=4)
-        assert np.array_equal(serial, threaded)
-
     def test_relabeling_symmetry(self):
         # swapping pump/probe roles and branching rates mirrors the map
         # (needs gamma_ground = 0, which has no preferred ground state)

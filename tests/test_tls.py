@@ -73,7 +73,7 @@ class TestAnalyticPopulation:
     def test_matches_lindblad_correlator(self, emitter_params, rabi_ghz):
         drive = tls.Drive(rabi_ghz)
         grid = TimeGrid(0.0, 10.0, 501)
-        numeric = tls._numeric_normalized_correlator(emitter_params, drive, grid)
+        numeric = tls.normalized_correlator(emitter_params, drive, grid)
         analytic = tls.rabi_population_analytic(emitter_params, drive, grid.times())
         assert np.sqrt(np.mean((numeric - analytic) ** 2)) < 1e-6
 
