@@ -54,9 +54,14 @@ def read_csv(path):
             header = [c.strip() for c in line.split(",")]
             continue
         try:
-            data.append([float(v) for v in line.split(",")])
+            row = [float(v) for v in line.split(",")]
         except ValueError:
             raise ModelError(f"{path}:{lineno}: non-numeric row {line!r}")
+        if len(row) != len(header):
+            raise ModelError(
+                f"{path}:{lineno}: row has {len(row)} columns, header has {len(header)}"
+            )
+        data.append(row)
     if header is None:
         raise ModelError(f"{path} contains no header row")
     return meta, header, np.array(data, dtype=float)

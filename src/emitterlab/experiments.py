@@ -114,8 +114,8 @@ def _lambda_keys():
         "gamma_phi_e_per_ns": Key(float, 0.0, minimum=0.0),
         "gamma_phi_g_per_ns": Key(float, 0.0, minimum=0.0),
         "p_sat_nw": Key(float, 20.0),
-        "pump_power_nw": Key(float, 400.0),
-        "probe_power_nw": Key(float, 50.0),
+        "pump_power_nw": Key(float, 400.0, minimum=0.0),
+        "probe_power_nw": Key(float, 50.0, minimum=0.0),
     }
 
 
@@ -188,7 +188,7 @@ def _checked(key: str, build, *args, **kwargs):
 def _precheck(cfg: dict):
     """Build the cheap domain objects so cross-key preconditions fail early."""
     if "t1_ns" in cfg and "t2_ns" in cfg:
-        _checked("t2_ns", _params, cfg)
+        _checked("t2_ns" if cfg["t1_ns"] > 0 else "t1_ns", _params, cfg)
     if "pulse_ns" in cfg:
         _checked(
             "pulse_ns",
@@ -490,7 +490,7 @@ def _pulsed_rabi(cfg):
     fringe_tau_ns=Key(float, 0.5),
     tau_max_ns=Key(float, 2.4),
     n_taus=Key(int, 13),
-    n_phases=Key(int, 16),
+    n_phases=Key(int, 16, minimum=16),
     detuning_ghz=Key(float, 0.0),
 )
 def _ramsey(cfg):

@@ -99,15 +99,19 @@ class LambdaDrive:
             raise ModelError("Rabi frequencies must be >= 0")
 
 
+# The detunings enter the Hamiltonian only as delta_C * DETUNING_C +
+# delta_D * DETUNING_D (rad/ns), so the generator is affine in them.
+DETUNING_C = np.diag([0.0, -1.0, -1.0]).astype(complex)
+DETUNING_D = np.diag([0.0, 1.0, 0.0]).astype(complex)
+
+
 def lambda_liouvillian(params: LambdaParams, drive: LambdaDrive) -> qdyn.Liouvillian:
     """Doubly-rotating-frame RWA generator of the driven lambda system."""
-    d_c = TWO_PI * drive.delta_c_ghz
-    d_d = TWO_PI * drive.delta_d_ghz
     o_c = TWO_PI * drive.omega_c_ghz
     o_d = TWO_PI * drive.omega_d_ghz
     h = (
-        -d_c * _proj(E)
-        + (d_d - d_c) * _proj(G_D)
+        TWO_PI * drive.delta_c_ghz * DETUNING_C
+        + TWO_PI * drive.delta_d_ghz * DETUNING_D
         + 0.5 * o_c * (_lower(E, G_C) + _lower(G_C, E))
         + 0.5 * o_d * (_lower(E, G_D) + _lower(G_D, E))
     )
@@ -125,11 +129,6 @@ def lambda_liouvillian(params: LambdaParams, drive: LambdaDrive) -> qdyn.Liouvil
     return qdyn.build_liouvillian(h, jumps)
 
 
-def _steady_fluorescence(params: LambdaParams, drive: LambdaDrive) -> float:
-    rho = qdyn.steady_state(lambda_liouvillian(params, drive))
-    return (params.gamma_c + params.gamma_d) * rho[E, E].real
-
-
 def probe_scan(
     params: LambdaParams,
     omega_c: float,
@@ -139,20 +138,7 @@ def probe_scan(
 ) -> Curve:
     """Normalized steady-state fluorescence versus probe detuning (GHz)."""
     deltas = np.asarray(delta_d_range, dtype=float)
-    signal = np.array(
-        [
-            _steady_fluorescence(
-                params,
-                LambdaDrive(
-                    omega_c_ghz=omega_c,
-                    delta_c_ghz=delta_c,
-                    omega_d_ghz=omega_d,
-                    delta_d_ghz=dd,
-                ),
-            )
-            for dd in deltas
-        ]
-    )
+    signal = at_map2d(params, omega_c, omega_d, [delta_c], deltas)[0]
     peak = np.max(signal)
     if peak <= 0:
         raise ModelError("no fluorescence in scan; check drive amplitudes")
@@ -172,30 +158,25 @@ def at_map2d(
     delta_c_range: Sequence[float],
     delta_d_range: Sequence[float],
 ) -> np.ndarray:
-    """Steady-state fluorescence on a (delta_C, delta_D) grid.
+    """Steady-state fluorescence (gamma_c + gamma_d) rho_ee on a detuning grid.
 
-    Rows follow ``delta_c_range`` ascending, columns ``delta_d_range``
-    ascending.
+    Rows follow ``delta_c_range`` (delta_C, GHz) ascending, columns
+    ``delta_d_range`` (delta_D, GHz) ascending.  Each grid point's generator
+    is the zero-detuning generator plus delta_C and delta_D times their
+    detuning superoperators, and all points are one stacked
+    :func:`qdyn.steady_states` solve.
     """
-    dcs = np.asarray(delta_c_range, dtype=float)
-    dds = np.asarray(delta_d_range, dtype=float)
-    return np.array(
-        [
-            [
-                _steady_fluorescence(
-                    params,
-                    LambdaDrive(
-                        omega_c_ghz=omega_c,
-                        delta_c_ghz=dc,
-                        omega_d_ghz=omega_d,
-                        delta_d_ghz=dd,
-                    ),
-                )
-                for dd in dds
-            ]
-            for dc in dcs
-        ]
+    dcs = TWO_PI * np.asarray(delta_c_range, dtype=float)
+    dds = TWO_PI * np.asarray(delta_d_range, dtype=float)
+    l0 = lambda_liouvillian(params, LambdaDrive(omega_c, omega_d_ghz=omega_d))
+    stack = (
+        l0.matrix
+        + dcs[:, None, None, None] * qdyn.hamiltonian_superop(DETUNING_C)
+        + dds[None, :, None, None] * qdyn.hamiltonian_superop(DETUNING_D)
     )
+    rhos = qdyn.steady_states(stack.reshape(-1, 9, 9))
+    fluor = (params.gamma_c + params.gamma_d) * rhos[:, E, E].real
+    return fluor.reshape(dcs.size, dds.size)
 
 
 def dip_splitting(curve: Curve) -> float:

@@ -429,52 +429,72 @@ def evolve_driven(
 # -- steady state and correlators -------------------------------------------
 
 
-def steady_state(l: Liouvillian) -> np.ndarray:
-    """Unique stationary density matrix of the generator.
+def steady_states(matrices: np.ndarray) -> np.ndarray:
+    """Unique stationary density matrices of a stack of generator matrices.
 
-    Solves the vectorized linear system with one row replaced by the trace
-    constraint; falls back to long-time integration (20x the slowest decay)
-    if the direct solve fails the residual check.  A degenerate stationary
-    subspace raises :class:`ModelError`.
+    ``matrices`` has shape (N, d^2, d^2); the result has shape (N, d, d).
+    All points are solved in one stacked linear solve, with the first row
+    of each vectorized system replaced by the trace constraint.  A point
+    whose solve fails the residual check falls back to long-time
+    integration.  A degenerate stationary subspace at any point raises
+    :class:`ModelError`.
     """
-    d = l.dim
-    eigs = np.linalg.eigvals(l.matrix)
-    scale = max(np.max(np.abs(eigs)), 1.0)
-    n_null = int(np.sum(np.abs(eigs) < 1e-10 * scale))
-    if n_null != 1:
+    m = np.asarray(matrices, dtype=complex)
+    n, d2 = m.shape[:2]
+    d = math.isqrt(d2)
+    eigs = np.linalg.eigvals(m)
+    scale = np.maximum(np.max(np.abs(eigs), axis=1), 1.0)
+    null = np.abs(eigs) < 1e-10 * scale[:, None]
+    n_null = np.sum(null, axis=1)
+    if np.any(n_null != 1):
         raise ModelError(
-            f"stationary subspace has dimension {n_null}; steady state is not "
-            "unique. Integrate for a long time from a chosen initial state "
-            "instead."
+            f"stationary subspace has dimension {n_null[n_null != 1][0]}; steady "
+            "state is not unique. Integrate for a long time from a chosen "
+            "initial state instead."
         )
-    a = l.matrix.copy()
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-    a[0, :] = trace_row
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = 1.0
-    rho = None
+    a = m.copy()
+    a[:, 0, :] = 0.0
+    a[:, 0, :: d + 1] = 1.0
+    b = np.zeros((n, d2, 1), dtype=complex)
+    b[:, 0] = 1.0
     try:
-        rho = np.linalg.solve(a, b).reshape(d, d)
+        vecs = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError:
-        rho = None
-    if rho is not None:
-        residual = np.linalg.norm(l.matrix @ rho.reshape(-1))
-        if residual >= STEADY_STATE_RESIDUAL_TOL:
-            rho = None
-    if rho is None:
-        slowest = np.min(np.abs(eigs.real[np.abs(eigs) > 1e-10 * scale]))
-        horizon = 20.0 / max(slowest, 1e-12)
-        grid = TimeGrid(0.0, horizon, 64)
-        rho = evolve(l, np.eye(d, dtype=complex) / d, grid)[-1]
-        residual = np.linalg.norm(l.matrix @ rho.reshape(-1))
-        if residual >= STEADY_STATE_RESIDUAL_TOL:
-            raise NumericFailure(
-                f"steady-state residual {residual:.3e} above "
-                f"{STEADY_STATE_RESIDUAL_TOL} even after integration fallback"
-            )
-    rho = 0.5 * (rho + rho.conj().T)
-    return check_density_matrix(rho, "steady state")
+        vecs = np.full((n, d2), np.nan, dtype=complex)
+    residual = np.linalg.norm((m @ vecs[..., None])[..., 0], axis=1)
+    rhos = vecs.reshape(n, d, d)
+    for i in np.flatnonzero(~(residual < STEADY_STATE_RESIDUAL_TOL)):
+        rhos[i] = _integrated_steady_state(m[i], eigs[i][~null[i]])
+    rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
+    for rho in rhos:
+        check_density_matrix(rho, "steady state")
+    return rhos
+
+
+def _integrated_steady_state(matrix: np.ndarray, decay_eigs: np.ndarray) -> np.ndarray:
+    """Steady state by integrating from the maximally mixed state.
+
+    The horizon is 40x the slowest decay time among ``decay_eigs`` (the
+    generator's non-zero eigenvalues), so the start-up transient is damped
+    by e^-40, far below the residual tolerance.  Only the generator matrix
+    enters the evolution, so the Hamiltonian slot holds a placeholder.
+    """
+    d = math.isqrt(matrix.shape[0])
+    horizon = 40.0 / max(np.min(np.abs(decay_eigs.real)), 1e-12)
+    l = Liouvillian(np.zeros((d, d), dtype=complex), [], matrix)
+    rho = evolve(l, np.eye(d, dtype=complex) / d, TimeGrid(0.0, horizon, 64))[-1]
+    residual = np.linalg.norm(matrix @ rho.reshape(-1))
+    if residual >= STEADY_STATE_RESIDUAL_TOL:
+        raise NumericFailure(
+            f"steady-state residual {residual:.3e} above "
+            f"{STEADY_STATE_RESIDUAL_TOL} even after integration fallback"
+        )
+    return rho
+
+
+def steady_state(l: Liouvillian) -> np.ndarray:
+    """Unique stationary density matrix: :func:`steady_states` with N = 1."""
+    return steady_states(l.matrix[None])[0]
 
 
 def regression_correlator(

@@ -37,6 +37,8 @@ SIGMA_PLUS = SIGMA_MINUS.conj().T
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PROJ_EXCITED = np.diag([0.0, 1.0]).astype(complex)
+# The detuning enters the rotating-frame Hamiltonian only as Delta * DETUNING.
+DETUNING = np.diag([0.0, -1.0]).astype(complex)
 RHO_GROUND = np.diag([1.0, 0.0]).astype(complex)
 
 TWO_PI = 2.0 * math.pi
@@ -155,7 +157,7 @@ def drive_hamiltonian(drive: Drive) -> np.ndarray:
     """Rotating-frame Hamiltonian in rad/ns: -Delta|e><e| + (Omega/2) sigma_x."""
     delta = TWO_PI * drive.detuning_ghz
     omega = TWO_PI * drive.rabi_ghz
-    return -delta * PROJ_EXCITED + 0.5 * omega * SIGMA_X
+    return delta * DETUNING + 0.5 * omega * SIGMA_X
 
 
 def tls_liouvillian(params: TlsParams, drive: Drive) -> qdyn.Liouvillian:
@@ -365,7 +367,8 @@ def rabi_trace_numeric(
         raise ModelError("grid must span at least one pulse period")
     omega = TWO_PI * drive.rabi_ghz
     l0 = qdyn.build_liouvillian(
-        -TWO_PI * drive.detuning_ghz * PROJ_EXCITED, decay_jumps(params)
+        drive_hamiltonian(Drive(rabi_ghz=0.0, detuning_ghz=drive.detuning_ghz)),
+        decay_jumps(params),
     )
     rhos = qdyn.evolve_driven(
         l0,
@@ -399,10 +402,10 @@ def excitation_lineshape(
     detunings = np.asarray(detuning_range, dtype=float)
     if detunings.size < 5:
         raise ModelError("detuning range needs at least 5 points")
-    pops = np.empty(detunings.size)
-    for i, delta in enumerate(detunings):
-        l = tls_liouvillian(params, Drive(rabi_ghz=rabi_ghz, detuning_ghz=delta))
-        pops[i] = qdyn.steady_state(l)[EXCITED, EXCITED].real
+    l0 = tls_liouvillian(params, Drive(rabi_ghz=rabi_ghz)).matrix
+    detuning = qdyn.hamiltonian_superop(DETUNING)
+    stack = l0 + (TWO_PI * detunings)[:, None, None] * detuning
+    pops = qdyn.steady_states(stack)[:, EXCITED, EXCITED].real
     half = 0.5 * np.max(pops)
     if pops[0] > half or pops[-1] > half:
         raise ModelError(

@@ -46,16 +46,27 @@ class TestConfigParsing:
             assert f"'{key}'" in err
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("experiment,key", [
-        ("mollow_spectrum", "n_freqs"),
-        ("lineshape", "n_points"),
+    @pytest.mark.parametrize("experiment,key,value", [
+        pytest.param(experiment, key, value, id=f"{experiment}-{key}")
+        for experiment, key, value in [
+            ("mollow_spectrum", "n_freqs", 1),
+            ("lineshape", "n_points", 1),
+            ("ramsey", "n_phases", 3),
+            ("autler_scan", "pump_power_nw", -5),
+            ("autler_map", "probe_power_nw", -5),
+        ]
     ])
     def test_size_minimum_exits_2_before_compute(self, tmp_path, capsys,
-                                                 experiment, key):
+                                                 experiment, key, value):
         assert cli.run(experiment=experiment, outdir=tmp_path / "out",
-                       overrides={key: 1}) == 2
+                       overrides={key: value}) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_positive_t1_names_t1(self, tmp_path, capsys):
+        assert cli.run(experiment="g2", outdir=tmp_path / "out",
+                       overrides={"t1_ns": 0}) == 2
+        assert "'t1_ns'" in capsys.readouterr().err
 
     def test_defaults_follow_headline_values(self):
         cfg = cli.validate_config("g2", {})
@@ -305,14 +316,19 @@ class TestFitThroughFiles:
         values = _report_values(tmp_path / "out" / "fit_report.csv")
         assert abs(values["period"] - 1.1) < 1e-6
 
-    def test_malformed_input_exits_3(self, tmp_path):
-        data_path = tmp_path / "junk.csv"
-        data_path.write_text("x,y\n1.0,2.0\noops,4.0\n")
-        cfg = write_cfg(
-            tmp_path,
-            f"experiment = fit\ninput = {data_path}\nfit_model = exp_decay\n",
-        )
-        assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 3
+    def test_malformed_input_exits_3(self, tmp_path, capsys):
+        # a non-numeric row, then a row longer than the header
+        for text in ("x,y\n1.0,2.0\noops,4.0\n", "x,y\n1,2\n3,4,5\n"):
+            data_path = tmp_path / "junk.csv"
+            data_path.write_text(text)
+            cfg = write_cfg(
+                tmp_path,
+                f"experiment = fit\ninput = {data_path}\nfit_model = exp_decay\n",
+            )
+            assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 3
+            err = capsys.readouterr().err
+            assert f"{data_path}:3:" in err
+            assert "Traceback" not in err
 
 
 class TestErrorPaths:

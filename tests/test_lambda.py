@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emitterlab import lambda_system as lam
-from emitterlab import qdyn
+from emitterlab import qdyn, tls
 from emitterlab.errors import ModelError
 from emitterlab.qdyn import Curve
 
@@ -169,3 +169,42 @@ class TestAtMap2d:
         m1 = lam.at_map2d(params, 0.5, 0.21, dcs, dds)
         m2 = lam.at_map2d(swapped, 0.21, 0.5, dds, dcs)
         assert np.max(np.abs(m1 - m2.T)) < 1e-8
+
+
+class TestStackedSweeps:
+    """The stacked sweeps equal a per-point ``qdyn.steady_state`` loop."""
+
+    def test_at_map2d_matches_per_point_loop(self):
+        params = lam.LambdaParams(gamma_phi_g=0.01)
+        dcs = np.linspace(-1.0, 1.0, 7)
+        dds = np.linspace(-1.2, 1.2, 9)
+        expected = np.array([
+            [(params.gamma_c + params.gamma_d) * qdyn.steady_state(
+                lam.lambda_liouvillian(params, lam.LambdaDrive(0.6, dc, 0.2, dd))
+            )[2, 2].real for dd in dds]
+            for dc in dcs
+        ])
+        fluor = lam.at_map2d(params, 0.6, 0.2, dcs, dds)
+        assert np.max(np.abs(fluor - expected)) <= 1e-14
+
+    def test_probe_scan_matches_per_point_loop(self):
+        params = lam.LambdaParams()
+        dds = np.linspace(-0.7, 0.7, 29)
+        signal = np.array([
+            qdyn.steady_state(
+                lam.lambda_liouvillian(params, lam.LambdaDrive(0.5, 0.1, 0.02, dd))
+            )[2, 2].real
+            for dd in dds
+        ])
+        curve = lam.probe_scan(params, 0.5, 0.1, 0.02, dds)
+        assert np.max(np.abs(curve.y - signal / signal.max())) <= 1e-14
+
+    def test_excitation_lineshape_matches_per_point_loop(self):
+        params = tls.TlsParams(1.85, 1.62)
+        detunings = np.linspace(-0.6, 0.6, 41)
+        pops = np.array([
+            qdyn.steady_state(tls.tls_liouvillian(params, tls.Drive(0.1, d)))[1, 1].real
+            for d in detunings
+        ])
+        curve = tls.excitation_lineshape(params, 0.1, detunings)
+        assert np.max(np.abs(curve.y - pops)) <= 1e-14

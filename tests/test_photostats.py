@@ -150,6 +150,31 @@ class TestEmissionSpectrum:
         m = spectrum.magnitude
         assert np.max(np.abs(m - m[::-1])) < 0.01 * np.max(m)
 
+    def test_matches_time_domain_transform(self):
+        # reference: trapezoid transform of the regression correlator over
+        # 40 T2 at d_tau = 0.0025 ns, the coherent part subtracted
+        params = tls.TlsParams(1.85, 1.62)
+        drive = tls.Drive(2.0, 0.3)
+        freqs = np.linspace(-2.0, 2.6, 47)
+        l = tls.tls_liouvillian(params, drive)
+        rho_ss = qdyn.steady_state(l)
+        grid = TimeGrid(0.0, 40.0 * params.t1, 29601)
+        corr = qdyn.regression_correlator(
+            l, rho_ss, tls.SIGMA_PLUS, tls.SIGMA_MINUS, np.eye(2), grid,
+            dt_int=tls.internal_step(params, 2 * np.pi * tls.generalized_rabi(drive)),
+        )
+        c_inc = corr - np.trace(tls.SIGMA_PLUS @ rho_ss) * np.trace(
+            tls.SIGMA_MINUS @ rho_ss
+        )
+        weights = np.full(grid.n_points, grid.dt)
+        weights[[0, -1]] *= 0.5
+        omega = 2 * np.pi * (freqs - drive.detuning_ghz)
+        reference = 2.0 * np.real(
+            np.exp(-1j * np.outer(omega, grid.times())) @ (c_inc * weights)
+        )
+        spectrum = photostats.emission_spectrum(params, drive, freqs)
+        assert np.max(np.abs(spectrum.magnitude - reference)) <= 1e-5 * reference.max()
+
     def test_bad_frequency_axis_rejected(self):
         with pytest.raises(ModelError, match="increasing"):
             photostats.emission_spectrum(

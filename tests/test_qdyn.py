@@ -117,6 +117,35 @@ class TestSteadyState:
         with pytest.raises(ModelError, match="stationary"):
             qdyn.steady_state(l)
 
+    def test_stack_with_degenerate_point_rejected(self):
+        good = drive_liouvillian(1.85, 1.62, 0.5)
+        degenerate = qdyn.build_liouvillian(np.diag([0.0, 1.0]), [])
+        with pytest.raises(ModelError) as single:
+            qdyn.steady_state(degenerate)
+        stack = np.array([good.matrix, degenerate.matrix, good.matrix])
+        with pytest.raises(ModelError) as stacked:
+            qdyn.steady_states(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_equals_single_solves(self):
+        ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 0.9)]
+        rhos = qdyn.steady_states(np.array([l.matrix for l in ls]))
+        for l, rho in zip(ls, rhos):
+            assert np.array_equal(rho, qdyn.steady_state(l))
+
+    def test_failed_solve_falls_back_to_integration(self, monkeypatch):
+        ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.5)]
+        direct = [qdyn.steady_state(l) for l in ls]
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rhos = qdyn.steady_states(np.array([l.matrix for l in ls]))
+        for l, rho, expected in zip(ls, rhos, direct):
+            assert np.linalg.norm(l.matrix @ rho.reshape(-1)) < 1e-10
+            assert np.max(np.abs(rho - expected)) < 1e-8
+
     def test_fixed_point_stays_fixed(self):
         l = drive_liouvillian(1.85, 1.62, 0.906)
         rho_ss = qdyn.steady_state(l)
