@@ -187,8 +187,10 @@ def _checked(key: str, build, *args, **kwargs):
 
 def _precheck(cfg: dict):
     """Build the cheap domain objects so cross-key preconditions fail early."""
+    if "t1_ns" in cfg and not cfg["t1_ns"] > 0:
+        raise ConfigError("t1_ns", f"t1 must be positive, got {cfg['t1_ns']}")
     if "t1_ns" in cfg and "t2_ns" in cfg:
-        _checked("t2_ns" if cfg["t1_ns"] > 0 else "t1_ns", _params, cfg)
+        _checked("t2_ns", _params, cfg)
     if "pulse_ns" in cfg:
         _checked(
             "pulse_ns",
@@ -498,14 +500,9 @@ def _ramsey(cfg):
     pulse = tls.PulseEnvelope("square", cfg["pulse_ns"], cfg["period_ns"])
     if cfg["scan"] == "fringe":
         phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        pops = np.array([
-            ramsey.ramsey_population(
-                params,
-                ramsey.RamseySequence(pulse, cfg["fringe_tau_ns"], float(ph)),
-                cfg["detuning_ghz"],
-            )
-            for ph in phases
-        ])
+        pops = ramsey.population_table(
+            params, pulse, [cfg["fringe_tau_ns"]], phases, cfg["detuning_ghz"]
+        )[0]
         return Result(
             f"ramsey fringe at tau={cfg['fringe_tau_ns']} ns: "
             f"amplitude {(pops.max() - pops.min()) / 2:.3f}",

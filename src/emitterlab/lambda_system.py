@@ -104,6 +104,9 @@ class LambdaDrive:
 DETUNING_C = np.diag([0.0, -1.0, -1.0]).astype(complex)
 DETUNING_D = np.diag([0.0, 1.0, 0.0]).astype(complex)
 
+# Grid points per stacked steady-state solve in :func:`at_map2d`.
+_MAP_BLOCK = 1024
+
 
 def lambda_liouvillian(params: LambdaParams, drive: LambdaDrive) -> qdyn.Liouvillian:
     """Doubly-rotating-frame RWA generator of the driven lambda system."""
@@ -163,19 +166,25 @@ def at_map2d(
     Rows follow ``delta_c_range`` (delta_C, GHz) ascending, columns
     ``delta_d_range`` (delta_D, GHz) ascending.  Each grid point's generator
     is the zero-detuning generator plus delta_C and delta_D times their
-    detuning superoperators, and all points are one stacked
-    :func:`qdyn.steady_states` solve.
+    detuning superoperators.  The grid is solved in row-major blocks of
+    ``_MAP_BLOCK`` points, one stacked :func:`qdyn.steady_states` solve per
+    block, so memory stays bounded for any grid size.
     """
     dcs = TWO_PI * np.asarray(delta_c_range, dtype=float)
     dds = TWO_PI * np.asarray(delta_d_range, dtype=float)
     l0 = lambda_liouvillian(params, LambdaDrive(omega_c, omega_d_ghz=omega_d))
-    stack = (
-        l0.matrix
-        + dcs[:, None, None, None] * qdyn.hamiltonian_superop(DETUNING_C)
-        + dds[None, :, None, None] * qdyn.hamiltonian_superop(DETUNING_D)
-    )
-    rhos = qdyn.steady_states(stack.reshape(-1, 9, 9))
-    fluor = (params.gamma_c + params.gamma_d) * rhos[:, E, E].real
+    a = qdyn.hamiltonian_superop(DETUNING_C)
+    b = qdyn.hamiltonian_superop(DETUNING_D)
+    fluor = np.empty(dcs.size * dds.size)
+    for start in range(0, fluor.size, _MAP_BLOCK):
+        point = np.arange(start, min(start + _MAP_BLOCK, fluor.size))
+        stack = (
+            l0.matrix
+            + dcs[point // dds.size, None, None] * a
+            + dds[point % dds.size, None, None] * b
+        )
+        rhos = qdyn.steady_states(stack)
+        fluor[point] = (params.gamma_c + params.gamma_d) * rhos[:, E, E].real
     return fluor.reshape(dcs.size, dds.size)
 
 

@@ -7,12 +7,17 @@ both as (hamiltonian, jumps) and as the vectorized superoperator matrix
 acting on row-major ``vec(rho)``; the matrix backs time evolution, the
 steady-state solve and two-time correlators.
 
-Time evolution is classical fixed-step 4th-order Runge-Kutta.  For a
-time-independent generator the RK4 update is linear in the state, so one
-internal step is a single matrix-vector product with the precomputed
-one-step propagator.  Every evolution is verified by re-running at half
-the internal step; the step is refined until consecutive trajectories
-agree below ``STEP_HALVING_TOL``.
+Time evolution is classical fixed-step 4th-order Runge-Kutta.  The RK4
+update is linear in the state, so every internal step is a fixed map on
+``vec(rho)``.  One kernel advances a block of vectors through a schedule:
+the time span is split at the samples and at drive-segment edges, and
+consecutive equal pieces form runs.  A constant-drive run is one map,
+built once and applied to its samples by doubling (O(log n) matrix
+products); a shaped-pulse run builds its one-step maps stacked, in
+fixed-size blocks, and applies them in order.  Every evolution is verified
+by re-running at half the internal step; the step is refined until
+consecutive results agree below ``STEP_HALVING_TOL``.  :func:`propagator`
+returns such a verified map itself, so pulse sequences can be composed.
 """
 
 from __future__ import annotations
@@ -201,43 +206,194 @@ def _rk4_propagator(matrix: np.ndarray, h: float) -> np.ndarray:
     return eye + a + (a @ a) / 2.0 + (a @ a @ a) / 6.0 + (a @ a @ a @ a) / 24.0
 
 
-def _run_static(matrix: np.ndarray, v0: np.ndarray, grid: TimeGrid, n_sub: int) -> np.ndarray:
-    step = _rk4_propagator(matrix, grid.dt / n_sub)
-    per_sample = np.linalg.matrix_power(step, n_sub)
-    out = np.empty((grid.n_points, v0.size), dtype=complex)
-    out[0] = v0
-    v = v0
-    for i in range(1, grid.n_points):
-        v = per_sample @ v
-        out[i] = v
+# -- propagation kernel -----------------------------------------------------
+
+# A drive segment: (t0, t1, amplitude); amplitude is a float for constant
+# drive or a callable t -> amplitude for shaped pulses, which must accept a
+# numpy array of times.  Gaps between segments mean amplitude 0.  Segment
+# edges never fall inside an integration sub-step, so discontinuous (square)
+# envelopes keep full RK4 accuracy.
+Segment = tuple[float, float, "float | Callable[[np.ndarray], np.ndarray]"]
+
+# Shaped runs build their one-step RK4 maps at most this many steps at a
+# time, so memory does not grow with the trace length.
+_STEP_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Consecutive pieces of a schedule with equal drive, length and sampling."""
+
+    amp: object  # float, or the segment's callable
+    starts: np.ndarray  # start time of each piece (ns)
+    length: float  # piece length (ns)
+    n_steps: int  # RK4 steps per piece before step refinement
+    sampled: bool  # every piece ends on a sample
+
+
+def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> list:
+    """Split ``grid`` at its samples and at segment edges; group equal pieces.
+
+    A piece takes the amplitude of the first segment holding its midpoint.
+    A piece between two consecutive samples has length ``grid.dt`` exactly,
+    so the rounding of the split points does not break runs.
+    """
+    samples = np.round(grid.times(), 15)
+    edges = sorted(round(float(t), 15) for t0, t1, _ in segments for t in (t0, t1)
+                   if grid.t_start < t < grid.t_end)
+    pts = np.insert(samples, np.searchsorted(samples, edges), edges)
+    pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
+    ta, tb = pts[:-1], pts[1:]
+    hit = np.searchsorted(tb, samples[1:] - 1e-12)
+    if (
+        np.any(hit >= tb.size)
+        or np.any(np.abs(tb[np.minimum(hit, tb.size - 1)] - samples[1:]) > 1e-12)
+        or np.any(np.diff(hit) <= 0)
+    ):
+        raise NumericFailure("internal sampling misalignment in driven evolution")
+    sampled = np.zeros(ta.size, dtype=bool)
+    sampled[hit] = True
+    from_sample = np.concatenate([[True], sampled[:-1]])
+    length = np.where(from_sample & sampled, grid.dt, tb - ta)
+    n_steps = np.maximum(1, np.ceil(length / dt_int)).astype(int)
+    # segment index per piece; len(segments) stands for the undriven gap
+    mid = 0.5 * (ta + tb)
+    seg = np.full(ta.size, len(segments))
+    for k in range(len(segments) - 1, -1, -1):
+        t0, t1, _ = segments[k]
+        seg[np.searchsorted(mid, t0):np.searchsorted(mid, t1)] = k
+    amps = [a for _, _, a in segments] + [0.0]
+    shaped = np.array([callable(a) for a in amps])[seg]
+    value = np.array([math.nan if callable(a) else a for a in amps], dtype=float)[seg]
+    same = (
+        np.where(shaped[1:] | shaped[:-1], seg[1:] == seg[:-1], value[1:] == value[:-1])
+        & (length[1:] == length[:-1])
+        & (sampled[1:] == sampled[:-1])
+    )
+    bounds = np.flatnonzero(np.concatenate([[True], ~same, [True]]))
+    return [
+        _Run(amps[seg[i]] if shaped[i] else float(value[i]), ta[i:j],
+             float(length[i]), int(n_steps[i]), bool(sampled[i]))
+        for i, j in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _chain(maps: np.ndarray) -> np.ndarray:
+    """Ordered products maps[:, -1] @ ... @ maps[:, 0], by pairwise reduction."""
+    while maps.shape[1] > 1:
+        even = maps.shape[1] // 2 * 2
+        pairs = maps[:, 1:even:2] @ maps[:, 0:even:2]
+        maps = np.concatenate([pairs, maps[:, even:]], axis=1)
+    return maps[:, 0]
+
+
+def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """Maps of ``n_steps`` RK4 steps of v' = (m0 + amp(t) c) v from each start.
+
+    The one-step maps are built stacked, ``_STEP_BLOCK`` steps per piece at
+    a time, with one amplitude call per block.
+    """
+    eye = np.eye(m0.shape[0], dtype=complex)
+    total = None
+    for j0 in range(0, n_steps, _STEP_BLOCK):
+        t = starts[:, None] + np.arange(j0, min(j0 + _STEP_BLOCK, n_steps)) * h
+        times = np.stack([t, t + 0.5 * h, t + h])
+        m = m0 + np.broadcast_to(amp(times), times.shape)[..., None, None] * c
+        k2 = m[1] @ (eye + (0.5 * h) * m[0])
+        k3 = m[1] @ (eye + (0.5 * h) * k2)
+        k4 = m[2] @ (eye + h * k3)
+        maps = _chain(eye + (h / 6.0) * (m[0] + 2.0 * (k2 + k3) + k4))
+        total = maps if total is None else maps @ total
+    return total
+
+
+def _orbit(q: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """[q v, q^2 v, ..., q^n v] by doubling: block[m:2m] = q^m @ block[:m]."""
+    out = np.empty((n, *v.shape), dtype=complex)
+    out[0] = q @ v
+    m, qm = 1, q
+    while m < n:
+        k = min(m, n - m)
+        out[m:m + k] = qm @ out[:k]
+        m += k
+        qm = qm @ qm
     return out
 
 
-def _propagate_static(
-    l: Liouvillian, v0: np.ndarray, grid: TimeGrid, dt_int: float | None, verify: bool
+def _propagate(m0, c, runs: list, block: np.ndarray, n_points: int, scale: int) -> np.ndarray:
+    """Sampled states of v' = (m0 + a(t) c) v for a (d^2, k) block of vectors.
+
+    Every piece gets ``scale`` times its base step count.  A constant run
+    is one map applied by doubling; a shaped run applies its stacked piece
+    maps in order.  Returns shape (n_points, d^2, k).
+    """
+    out = np.empty((n_points, *block.shape), dtype=complex)
+    out[0] = v = block
+    i = 1
+    for run in runs:
+        n = run.starts.size
+        n_steps = run.n_steps * scale
+        h = run.length / n_steps
+        if callable(run.amp):
+            per_block = max(1, _STEP_BLOCK // n_steps)
+            for i0 in range(0, n, per_block):
+                starts = run.starts[i0:i0 + per_block]
+                for q in _shaped_maps(m0, c, run.amp, starts, h, n_steps):
+                    v = q @ v
+                    if run.sampled:
+                        out[i] = v
+                        i += 1
+            continue
+        q = np.linalg.matrix_power(_rk4_propagator(m0 + run.amp * c, h), n_steps)
+        if run.sampled:
+            out[i:i + n] = _orbit(q, v, n)
+            v = out[i + n - 1]
+            i += n
+        else:
+            v = np.linalg.matrix_power(q, n) @ v
+    return out
+
+
+def _max_abs(diff: np.ndarray) -> float:
+    return float(np.max(np.abs(diff)))
+
+
+def _verified_propagation(
+    m0, c, segments, block, grid: TimeGrid, dt_int: float, verify: bool, error=_max_abs
 ) -> np.ndarray:
-    if dt_int is None:
-        dt_int = _default_dt_int(l, grid)
-    if dt_int <= 0:
+    """:func:`_propagate` refined by step halving until ``error(cur - prev)``
+    falls below ``STEP_HALVING_TOL``; the schedule is built once."""
+    if not dt_int > 0:
         raise NumericFailure(f"internal step underflow: dt_int={dt_int}")
-    n_sub = max(1, math.ceil(grid.dt / dt_int))
-    prev = _run_static(l.matrix, v0, grid, n_sub)
+    runs = _schedule(grid, segments, dt_int)
+    prev = _propagate(m0, c, runs, block, grid.n_points, 1)
     if not verify:
         if not np.all(np.isfinite(prev)):
             raise NumericFailure("non-finite values during evolution")
         return prev
-    for _ in range(_MAX_STEP_REFINEMENTS):
-        n_sub *= 2
-        cur = _run_static(l.matrix, v0, grid, n_sub)
+    for refinement in range(1, _MAX_STEP_REFINEMENTS + 1):
+        cur = _propagate(m0, c, runs, block, grid.n_points, 2**refinement)
         if not np.all(np.isfinite(cur)):
             raise NumericFailure("non-finite values during evolution")
-        if np.max(np.abs(cur - prev)) < STEP_HALVING_TOL:
+        if error(cur - prev) < STEP_HALVING_TOL:
             return cur
         prev = cur
     raise NumericFailure(
         "step-halving verification did not converge below "
         f"{STEP_HALVING_TOL} after {_MAX_STEP_REFINEMENTS} refinements"
     )
+
+
+def _propagate_static(
+    l: Liouvillian, v0: np.ndarray, grid: TimeGrid, dt_int: float | None, verify: bool
+) -> np.ndarray:
+    """Verified samples of a time-independent evolution: one constant run."""
+    if dt_int is None:
+        dt_int = _default_dt_int(l, grid)
+    traj = _verified_propagation(
+        l.matrix, np.zeros_like(l.matrix), [], v0[:, None], grid, dt_int, verify
+    )
+    return traj[..., 0]
 
 
 def _check_trajectory(rhos: np.ndarray):
@@ -290,89 +446,21 @@ def evolve(
 
 # -- time-dependent drive ---------------------------------------------------
 
-# A drive segment: (t0, t1, amplitude); amplitude is a float for constant
-# drive (fast path: one matrix-vector product per internal step) or a
-# callable t -> float for shaped pulses.  Gaps between segments mean
-# amplitude 0.  Segment edges never fall inside an integration sub-step, so
-# discontinuous (square) envelopes keep full RK4 accuracy.
-Segment = tuple[float, float, "float | Callable[[float], float]"]
 
-
-def _rk4_span_callable(m0, c, amp, v, t0, t1, n_steps):
-    h = (t1 - t0) / n_steps
-    t = t0
-    for _ in range(n_steps):
-        m_a = m0 + amp(t) * c
-        m_b = m0 + amp(t + 0.5 * h) * c
-        m_c = m0 + amp(t + h) * c
-        k1 = m_a @ v
-        k2 = m_b @ (v + 0.5 * h * k1)
-        k3 = m_b @ (v + 0.5 * h * k2)
-        k4 = m_c @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return v
-
-
-class _DrivenIntegrator:
-    """Piecewise integration of v' = (M0 + a(t) C) v with propagator caching."""
-
-    def __init__(self, m0: np.ndarray, coupling_superop: np.ndarray):
-        self.m0 = m0
-        self.c = coupling_superop
-        self._cache: dict = {}
-
-    def advance(self, v, t0, t1, amp, n_steps):
-        if callable(amp):
-            return _rk4_span_callable(self.m0, self.c, amp, v, t0, t1, n_steps)
-        key = (amp, (t1 - t0) / n_steps, n_steps)
-        q = self._cache.get(key)
-        if q is None:
-            step = _rk4_propagator(self.m0 + amp * self.c, key[1])
-            q = np.linalg.matrix_power(step, n_steps)
-            self._cache[key] = q
-        return q @ v
-
-
-def _split_points(grid: TimeGrid, segments: Sequence[Segment]) -> np.ndarray:
-    pts = set(np.round(grid.times(), 15).tolist())
-    for t0, t1, _ in segments:
-        for t in (t0, t1):
-            if grid.t_start < t < grid.t_end:
-                pts.add(round(float(t), 15))
-    return np.array(sorted(pts))
-
-
-def _segment_amp(segments: Sequence[Segment], ta: float, tb: float):
-    mid = 0.5 * (ta + tb)
-    for t0, t1, amp in segments:
-        if t0 <= mid < t1:
-            return amp
-    return 0.0
-
-
-def _run_driven(
-    m0, coupling_superop, segments, v0, grid, dt_int, n_sub_scale
-) -> np.ndarray:
-    integ = _DrivenIntegrator(m0, coupling_superop)
-    pts = _split_points(grid, segments)
-    sample_times = np.round(grid.times(), 15)
-    out = np.empty((grid.n_points, v0.size), dtype=complex)
-    out[0] = v0
-    v = v0
-    isample = 1
-    for ta, tb in zip(pts[:-1], pts[1:]):
-        amp = _segment_amp(segments, ta, tb)
-        n_steps = max(1, math.ceil((tb - ta) / dt_int)) * n_sub_scale
-        v = integ.advance(v, ta, tb, amp, n_steps)
-        if isample < grid.n_points and math.isclose(
-            tb, sample_times[isample], rel_tol=0.0, abs_tol=1e-12
-        ):
-            out[isample] = v
-            isample += 1
-    if isample != grid.n_points:
-        raise NumericFailure("internal sampling misalignment in driven evolution")
-    return out
+def _driven_setup(l0: Liouvillian, coupling, segments, grid: TimeGrid, dt_int):
+    """Checked coupling superoperator and the internal step of a driven run."""
+    coupling = np.asarray(coupling, dtype=complex)
+    if np.max(np.abs(coupling - coupling.conj().T)) > HERMITICITY_TOL:
+        raise ModelError("coupling operator is not Hermitian")
+    if coupling.shape != (l0.dim, l0.dim):
+        raise ModelError("coupling dimension mismatch")
+    c_super = hamiltonian_superop(coupling)
+    if dt_int is None:
+        amps = [a for _, _, a in segments if not callable(a)]
+        amax = max([abs(a) for a in amps] + [1.0])
+        probe = Liouvillian(l0.hamiltonian, l0.jumps, l0.matrix + amax * c_super)
+        dt_int = _default_dt_int(probe, grid)
+    return c_super, dt_int
 
 
 def evolve_driven(
@@ -391,39 +479,42 @@ def evolve_driven(
     Returns sampled density matrices as in :func:`evolve`.
     """
     rho0 = check_density_matrix(rho0, "rho0")
-    coupling = np.asarray(coupling, dtype=complex)
-    if np.max(np.abs(coupling - coupling.conj().T)) > HERMITICITY_TOL:
-        raise ModelError("coupling operator is not Hermitian")
-    if coupling.shape != (l0.dim, l0.dim):
-        raise ModelError("coupling dimension mismatch")
-    c_super = hamiltonian_superop(coupling)
-    if dt_int is None:
-        amps = [a for _, _, a in segments if not callable(a)]
-        amax = max([abs(a) for a in amps] + [1.0])
-        probe = Liouvillian(l0.hamiltonian, l0.jumps, l0.matrix + amax * c_super)
-        dt_int = _default_dt_int(probe, grid)
-    v0 = rho0.reshape(-1)
-    scale = 1
-    prev = _run_driven(l0.matrix, c_super, segments, v0, grid, dt_int, scale)
-    ok = False
-    for _ in range(_MAX_STEP_REFINEMENTS):
-        if not verify:
-            ok = True
-            break
-        scale *= 2
-        cur = _run_driven(l0.matrix, c_super, segments, v0, grid, dt_int, scale)
-        if not np.all(np.isfinite(cur)):
-            raise NumericFailure("non-finite values during driven evolution")
-        if np.max(np.abs(cur - prev)) < STEP_HALVING_TOL:
-            prev = cur
-            ok = True
-            break
-        prev = cur
-    if not ok:
-        raise NumericFailure("driven evolution step refinement did not converge")
-    rhos = prev.reshape(grid.n_points, l0.dim, l0.dim)
+    c_super, dt_int = _driven_setup(l0, coupling, segments, grid, dt_int)
+    traj = _verified_propagation(
+        l0.matrix, c_super, segments, rho0.reshape(-1, 1), grid, dt_int, verify
+    )
+    rhos = traj.reshape(grid.n_points, l0.dim, l0.dim)
     _check_trajectory(rhos)
     return rhos
+
+
+def _induced_inf_norm(diff: np.ndarray) -> float:
+    return float(np.max(np.sum(np.abs(diff[-1]), axis=1)))
+
+
+def propagator(
+    l0: Liouvillian,
+    coupling: np.ndarray,
+    segments: Sequence[Segment],
+    t_end: float,
+    dt_int: float | None = None,
+) -> np.ndarray:
+    """Verified d^2 x d^2 map of the driven evolution over [0, t_end].
+
+    ``vec(rho(t_end)) = M @ vec(rho(0))`` for the row-major ``vec`` of
+    :class:`Liouvillian`, with the drive of :func:`evolve_driven`.  The
+    identity is propagated and refined by step halving until the induced
+    infinity norm ``max_i sum_j |dM_ij|`` of the change falls below
+    ``STEP_HALVING_TOL``, which bounds the change of every entry of
+    ``M @ v`` for any ``v`` with entries of modulus <= 1.
+    """
+    grid = TimeGrid(0.0, t_end, 2)
+    c_super, dt_int = _driven_setup(l0, coupling, segments, grid, dt_int)
+    eye = np.eye(l0.matrix.shape[0], dtype=complex)
+    maps = _verified_propagation(
+        l0.matrix, c_super, segments, eye, grid, dt_int, True, _induced_inf_norm
+    )
+    return maps[-1]
 
 
 # -- steady state and correlators -------------------------------------------

@@ -49,40 +49,65 @@ def _pulse_amplitude(pulse: tls.PulseEnvelope, area: float = PULSE_AREA) -> floa
     return area / pulse.area_factor()
 
 
-def _run_pulse(l0, params, pulse, omega, phase, rho):
-    coupling = 0.5 * (math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y)
+def _coupling(phase: float) -> np.ndarray:
+    return 0.5 * (math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y)
+
+
+def population_table(
+    params: tls.TlsParams, pulse: tls.PulseEnvelope, taus, phases, detuning: float = 0.0
+) -> np.ndarray:
+    """Excited population after pulse - free evolution - phased pulse.
+
+    Returns shape (len(taus), len(phases)): row i is the fringe at delay
+    ``taus[i]`` (ns) over the relative phases ``phases`` (radians).
+    ``detuning`` is the laser detuning in GHz; it acts during the pulses
+    and the free-evolution window.  Decay and dephasing stay on throughout.
+
+    Every piece is a verified evolution: the first-pulse state once, one
+    free evolution per delay and one :func:`qdyn.propagator` map per phase
+    for the second pulse; each composed final state passes
+    :func:`qdyn.check_density_matrix`.
+    """
+    taus = np.asarray(taus, dtype=float)
+    for tau in taus:
+        if tau < 0:
+            raise ModelError(f"delay_tau must be >= 0, got {tau}")
+    omega = _pulse_amplitude(pulse)
+    l0 = qdyn.build_liouvillian(
+        -TWO_PI * detuning * PROJ_EXCITED, tls.decay_jumps(params)
+    )
     t_end = pulse.on_end()
     segments = tls.drive_segments(pulse, omega, t_end)
-    grid = TimeGrid(0.0, t_end, 5)
-    rhos = qdyn.evolve_driven(
-        l0, coupling, segments, rho, grid, dt_int=tls.internal_step(params, omega)
-    )
-    return rhos[-1]
+    dt_pulse = tls.internal_step(params, omega)
+    first = qdyn.evolve_driven(
+        l0, _coupling(0.0), segments, RHO_GROUND, TimeGrid(0.0, t_end, 5), dt_int=dt_pulse
+    )[-1]
+    free = np.array([
+        qdyn.evolve(
+            l0, first, TimeGrid(0.0, tau, 5), dt_int=tls.internal_step(params, 0.0)
+        )[-1] if tau > 0 else first
+        for tau in taus
+    ])
+    d = l0.dim
+    maps = np.array([
+        qdyn.propagator(l0, _coupling(float(ph)), segments, t_end, dt_int=dt_pulse)
+        for ph in phases
+    ]).reshape(-1, d * d, d * d)
+    finals = (maps[None] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
+    for rho in finals:
+        qdyn.check_density_matrix(rho, "Ramsey final state")
+    return finals[:, EXCITED, EXCITED].real.reshape(taus.size, len(maps))
 
 
 def ramsey_population(
     params: tls.TlsParams, seq: RamseySequence, detuning: float = 0.0
 ) -> float:
-    """Excited population after pulse - free evolution - phased pulse.
-
-    ``detuning`` is the laser detuning in GHz; it acts during the pulses
-    and the free-evolution window.  Decay and dephasing stay on throughout.
-    """
-    omega = _pulse_amplitude(seq.pulse)
-    l0 = qdyn.build_liouvillian(
-        -TWO_PI * detuning * PROJ_EXCITED, tls.decay_jumps(params)
+    """Excited population of one sequence: :func:`population_table` at one
+    delay and one phase."""
+    table = population_table(
+        params, seq.pulse, [seq.delay_tau], [seq.relative_phase], detuning
     )
-    rho = _run_pulse(l0, params, seq.pulse, omega, 0.0, RHO_GROUND)
-    if seq.delay_tau > 0:
-        free = qdyn.evolve(
-            l0,
-            rho,
-            TimeGrid(0.0, seq.delay_tau, 5),
-            dt_int=tls.internal_step(params, 0.0),
-        )
-        rho = free[-1]
-    rho = _run_pulse(l0, params, seq.pulse, omega, seq.relative_phase, rho)
-    return float(rho[EXCITED, EXCITED].real)
+    return float(table[0, 0])
 
 
 def visibility_curve(
@@ -101,18 +126,12 @@ def visibility_curve(
         raise ModelError("visibility extraction needs at least 16 phases")
     taus = np.asarray(tau_range, dtype=float)
     phases = np.arange(n_phases) * (2.0 * math.pi / n_phases)
-    vis = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        pops = [
-            ramsey_population(
-                params, RamseySequence(pulse, float(tau), float(ph)), detuning
-            )
-            for ph in phases
-        ]
-        hi, lo = max(pops), min(pops)
-        if hi + lo <= 0:
-            raise ModelError(f"vanishing fringe signal at tau = {tau}")
-        vis[i] = (hi - lo) / (hi + lo)
+    pops = population_table(params, pulse, taus, phases, detuning)
+    hi, lo = pops.max(axis=1), pops.min(axis=1)
+    vanishing = hi + lo <= 0
+    if np.any(vanishing):
+        raise ModelError(f"vanishing fringe signal at tau = {taus[vanishing][0]}")
+    vis = (hi - lo) / (hi + lo)
     meta = {
         "t1_ns": params.t1,
         "t2_ns": params.t2,

@@ -307,10 +307,10 @@ def _square_segments(pulse: PulseEnvelope, k: int) -> list:
         return [(start, start + pulse.duration, 1.0)]
 
     def up(t, t0=start, rr=r):
-        return 0.5 * (1.0 - math.cos(math.pi * (t - t0) / rr))
+        return 0.5 * (1.0 - np.cos(math.pi * (t - t0) / rr))
 
     def down(t, t0=start + pulse.duration - r, rr=r):
-        return 0.5 * (1.0 + math.cos(math.pi * (t - t0) / rr))
+        return 0.5 * (1.0 + np.cos(math.pi * (t - t0) / rr))
 
     return [
         (start, start + r, up),
@@ -325,13 +325,17 @@ def _gaussian_segments(pulse: PulseEnvelope, k: int) -> list:
     sigma = pulse.duration / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
     def env(t, c=center, s=sigma):
-        return math.exp(-0.5 * ((t - c) / s) ** 2)
+        return np.exp(-0.5 * ((t - c) / s) ** 2)
 
     return [(start, start + pulse.period, env)]
 
 
 def envelope_segments(pulse: PulseEnvelope, t_end: float) -> list:
-    """Unit-amplitude drive segments covering [0, t_end]."""
+    """Unit-amplitude drive segments covering [0, t_end].
+
+    Shaped envelopes (gaussian pulses, cosine ramps) are callables that take
+    a numpy array of times and return the envelope elementwise.
+    """
     segs = []
     k = 0
     while k * pulse.period < t_end:

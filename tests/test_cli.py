@@ -68,6 +68,21 @@ class TestConfigParsing:
                        overrides={"t1_ns": 0}) == 2
         assert "'t1_ns'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t1", [0, -1])
+    def test_fit_non_positive_t1_names_t1(self, tmp_path, capsys, t1):
+        assert cli.run(experiment="lifetime", outdir=tmp_path / "life") == 0
+        capsys.readouterr()
+        code = cli.run(experiment="fit", outdir=tmp_path / "out", overrides={
+            "input": str(tmp_path / "life" / "lifetime.csv"),
+            "fit_model": "rabi",
+            "t1_ns": t1,
+        })
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'t1_ns'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "fit_report.csv").exists()
+
     def test_defaults_follow_headline_values(self):
         cfg = cli.validate_config("g2", {})
         assert cfg["t1_ns"] == 1.85

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,29 @@ class TestStackedSweeps:
         ])
         curve = tls.excitation_lineshape(params, 0.1, detunings)
         assert np.max(np.abs(curve.y - pops)) <= 1e-14
+
+    def test_blocked_map_matches_per_point_loop(self, monkeypatch):
+        # blocks of 10 points split rows of 9, so block edges fall mid-row
+        monkeypatch.setattr(lam, "_MAP_BLOCK", 10)
+        params = lam.LambdaParams(gamma_phi_e=0.02)
+        dcs = np.linspace(-1.0, 1.0, 7)
+        dds = np.linspace(-1.2, 1.2, 9)
+        expected = np.array([
+            [(params.gamma_c + params.gamma_d) * qdyn.steady_state(
+                lam.lambda_liouvillian(params, lam.LambdaDrive(0.6, dc, 0.2, dd))
+            )[2, 2].real for dd in dds]
+            for dc in dcs
+        ])
+        fluor = lam.at_map2d(params, 0.6, 0.2, dcs, dds)
+        assert np.max(np.abs(fluor - expected)) <= 1e-14
+
+    def test_map_memory_bounded(self):
+        # One stack over the whole 150x150 grid peaked at 75.5 MB (tracemalloc).
+        axis = np.linspace(-1.0, 1.0, 150)
+        tracemalloc.start()
+        try:
+            lam.at_map2d(lam.LambdaParams(), 0.6, 0.2, axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 75.5e6 / 4

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,140 @@ class TestEvolve:
             errs.append(abs(rhos[-1][1, 1].real - np.exp(-1.0 / 0.5)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 3.5 < slope < 4.5
+
+
+    def test_matches_per_sample_loop(self):
+        # constant runs advance by doubling; the per-sample loop is the reference
+        l = drive_liouvillian(1.85, 1.62, 1.304)
+        grid = TimeGrid(0.0, 12.0, 1201)
+        v = RHO_G.reshape(-1)
+        step = np.linalg.matrix_power(qdyn._rk4_propagator(l.matrix, grid.dt / 4), 4)
+        expected = [v]
+        for _ in range(grid.n_points - 1):
+            v = step @ v
+            expected.append(v)
+        rhos = qdyn.evolve(l, RHO_G, grid, dt_int=grid.dt / 4, verify=False)
+        assert np.max(np.abs(rhos.reshape(grid.n_points, -1) - expected)) < 1e-12
+
+
+def _reference_evolve_driven(l0, coupling, segments, rho0, grid, dt_int):
+    """Per-step RK4 loop over the split pieces, with step halving."""
+    m0 = l0.matrix
+    c = qdyn.hamiltonian_superop(coupling)
+    samples = np.round(grid.times(), 15)
+    pts = set(samples.tolist())
+    for t0, t1, _ in segments:
+        for t in (t0, t1):
+            if grid.t_start < t < grid.t_end:
+                pts.add(round(float(t), 15))
+    pts = sorted(pts)
+
+    def amplitude(ta, tb):
+        mid = 0.5 * (ta + tb)
+        for t0, t1, a in segments:
+            if t0 <= mid < t1:
+                return a
+        return 0.0
+
+    def run(scale):
+        v = rho0.reshape(-1).astype(complex)
+        out = [v]
+        for ta, tb in zip(pts[:-1], pts[1:]):
+            amp = amplitude(ta, tb)
+            if not callable(amp):
+                amp = (lambda t, a=amp: a)
+            n_steps = max(1, math.ceil((tb - ta) / dt_int)) * scale
+            h = (tb - ta) / n_steps
+            t = ta
+            for _ in range(n_steps):
+                m_a = m0 + amp(t) * c
+                m_b = m0 + amp(t + 0.5 * h) * c
+                m_c = m0 + amp(t + h) * c
+                k1 = m_a @ v
+                k2 = m_b @ (v + 0.5 * h * k1)
+                k3 = m_b @ (v + 0.5 * h * k2)
+                k4 = m_c @ (v + h * k3)
+                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += h
+            if len(out) < grid.n_points and abs(tb - samples[len(out)]) <= 1e-12:
+                out.append(v)
+        assert len(out) == grid.n_points
+        return np.array(out)
+
+    prev = run(1)
+    for refinement in range(1, qdyn._MAX_STEP_REFINEMENTS + 1):
+        cur = run(2**refinement)
+        if np.max(np.abs(cur - prev)) < qdyn.STEP_HALVING_TOL:
+            return cur.reshape(grid.n_points, l0.dim, l0.dim)
+        prev = cur
+    raise AssertionError("reference did not converge")
+
+
+# Square, cosine-ramped and gaussian pulse trains; no sample of GRID_20 hits
+# a segment edge (0, 1, 4, 5, 15, 16, 19 ns).
+PULSES = {
+    "square": tls.PulseEnvelope("square", 5.0, 15.0),
+    "ramped": tls.PulseEnvelope("square", 5.0, 15.0, rise_time=1.0),
+    "gaussian": tls.PulseEnvelope("gaussian", 2.0, 15.0),
+}
+GRID_20 = TimeGrid(0.0, 20.0, 98)
+
+
+def _driven_case(shape):
+    params = tls.TlsParams(1.85, 1.62)
+    drive = tls.Drive(rabi_ghz=0.906, detuning_ghz=0.3)
+    l0 = tls.tls_liouvillian(params, tls.Drive(0.0, drive.detuning_ghz))
+    omega = tls.TWO_PI * drive.rabi_ghz
+    segments = tls.drive_segments(PULSES[shape], omega, GRID_20.t_end)
+    return l0, segments, tls.internal_step(params, omega)
+
+
+class TestDrivenKernel:
+    @pytest.mark.parametrize("shape", sorted(PULSES))
+    def test_matches_per_step_loop(self, shape):
+        l0, segments, dt_int = _driven_case(shape)
+        coupling = 0.5 * tls.SIGMA_X
+        expected = _reference_evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int)
+        rhos = qdyn.evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int=dt_int)
+        assert np.max(np.abs(rhos - expected)) < 1e-12
+
+    @pytest.mark.parametrize("shape", sorted(PULSES))
+    def test_propagator_matches_evolve_driven(self, shape):
+        l0, segments, dt_int = _driven_case(shape)
+        # a step fine enough that both step-halving checks accept the same
+        # refinement: the map's norm sums |dM| over a row of four entries
+        dt_int /= 2
+        coupling = 0.5 * tls.SIGMA_Y
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        grid = TimeGrid(0.0, GRID_20.t_end, 2)
+        last = qdyn.evolve_driven(l0, coupling, segments, rho0, grid, dt_int=dt_int)[-1]
+        m = qdyn.propagator(l0, coupling, segments, grid.t_end, dt_int=dt_int)
+        assert m.shape == (4, 4)
+        assert np.max(np.abs(m @ rho0.reshape(-1) - last.reshape(-1))) < 1e-12
+
+    def test_gaussian_trace_memory_bounded(self):
+        # Shaped runs build their step maps in fixed-size blocks.  The
+        # per-step loop engine peaked at 3.37 MB (tracemalloc) on this call.
+        params = tls.TlsParams(1.85, 1.62)
+        pulse = tls.PulseEnvelope("gaussian", 5.0, 15.0)
+        tls.rabi_trace_numeric(params, tls.Drive(0.906), pulse, TimeGrid(0.0, 15.0, 11))
+        tracemalloc.start()
+        try:
+            tls.rabi_trace_numeric(
+                params, tls.Drive(0.906), pulse, TimeGrid(0.0, 150.0, 15001)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 3.37e6
+
+    def test_misaligned_samples_rejected(self):
+        from emitterlab.errors import NumericFailure
+
+        l0, segments, dt_int = _driven_case("square")
+        grid = TimeGrid(0.0, 1e-14, 3)  # samples collapse when rounded
+        with pytest.raises(NumericFailure, match="misalignment"):
+            qdyn.evolve_driven(l0, 0.5 * tls.SIGMA_X, segments, RHO_G, grid, dt_int=dt_int)
 
 
 class TestSteadyState:

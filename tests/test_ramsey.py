@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from emitterlab import fitkit, ramsey, tls
+from emitterlab import fitkit, qdyn, ramsey, tls
 from emitterlab.errors import ModelError
+from emitterlab.qdyn import TimeGrid
 
 PULSE = tls.PulseEnvelope("square", 0.01, 1.0)
 
@@ -80,3 +83,62 @@ class TestVisibilityCurve:
         with pytest.raises(ModelError, match="16"):
             ramsey.visibility_curve(tls.TlsParams(1.85, 0.78), PULSE, [0.5],
                                     n_phases=8)
+
+
+def _chained_population(params, pulse, tau, phase, detuning):
+    """Pulse - free evolution - phased pulse as three verified state evolutions."""
+    omega = ramsey.PULSE_AREA / pulse.area_factor()
+    l0 = qdyn.build_liouvillian(
+        -tls.TWO_PI * detuning * tls.PROJ_EXCITED, tls.decay_jumps(params)
+    )
+    t_end = pulse.on_end()
+    segments = tls.drive_segments(pulse, omega, t_end)
+
+    def run_pulse(ph, rho):
+        coupling = 0.5 * (math.cos(ph) * tls.SIGMA_X + math.sin(ph) * tls.SIGMA_Y)
+        return qdyn.evolve_driven(l0, coupling, segments, rho, TimeGrid(0.0, t_end, 5),
+                                  dt_int=tls.internal_step(params, omega))[-1]
+
+    rho = run_pulse(0.0, tls.RHO_GROUND)
+    if tau > 0:
+        rho = qdyn.evolve(l0, rho, TimeGrid(0.0, tau, 5),
+                          dt_int=tls.internal_step(params, 0.0))[-1]
+    return run_pulse(phase, rho)[1, 1].real
+
+
+class TestComposedMaps:
+    """Composed pulse maps equal the chain of per-point state evolutions."""
+
+    def test_visibility_curve_matches_chain(self):
+        params = tls.TlsParams(1.85, 0.78)
+        taus = np.linspace(0.0, 2.4, 5)
+        phases = np.arange(16) * (2.0 * np.pi / 16)
+        pops = np.array([
+            [_chained_population(params, PULSE, tau, ph, 0.2) for ph in phases]
+            for tau in taus
+        ])
+        expected = (pops.max(axis=1) - pops.min(axis=1)) / (pops.max(axis=1) + pops.min(axis=1))
+        curve = ramsey.visibility_curve(params, PULSE, taus, detuning=0.2)
+        assert np.max(np.abs(curve.y - expected)) <= 1e-9
+
+    def test_fringe_scan_matches_chain(self):
+        params = tls.TlsParams(1.85, 0.78)
+        pulse = tls.PulseEnvelope("gaussian", 0.05, 1.0)
+        phases = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        expected = [_chained_population(params, pulse, 0.5, ph, -0.1) for ph in phases]
+        table = ramsey.population_table(params, pulse, [0.5], phases, -0.1)
+        assert table.shape == (1, 64)
+        assert np.max(np.abs(table[0] - expected)) <= 1e-9
+        single = ramsey.ramsey_population(
+            params, ramsey.RamseySequence(pulse, 0.5, phases[5]), -0.1
+        )
+        assert single == table[0, 5]
+
+    def test_negative_delay_in_scan_rejected(self):
+        with pytest.raises(ModelError, match="delay_tau"):
+            ramsey.visibility_curve(tls.TlsParams(1.85, 0.78), PULSE, [0.5, -0.1])
+
+    def test_empty_scans_give_empty_tables(self):
+        params = tls.TlsParams(1.85, 0.78)
+        assert ramsey.population_table(params, PULSE, [0.5, 1.0], []).shape == (2, 0)
+        assert ramsey.population_table(params, PULSE, [], [0.1]).shape == (0, 1)
