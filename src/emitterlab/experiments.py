@@ -275,7 +275,7 @@ def _rabi_trace(cfg):
     rabi_ghz=Key(float, 1.304, minimum=0.0),
     detuning_min_ghz=Key(float, -2.0),
     detuning_max_ghz=Key(float, 2.0),
-    n_detunings=Key(int, 21),
+    n_detunings=Key(int, 21, minimum=1),
     pulse_ns=Key(float, 20.0),
     period_ns=Key(float, 20.5),
     t_max_ns=Key(float, 20.5),
@@ -398,7 +398,7 @@ def _omegas_used(omega_c, omega_d) -> dict:
     delta_c_ghz=Key(float, 0.0),
     delta_min_ghz=Key(float, -0.7),
     delta_max_ghz=Key(float, 0.7),
-    n_points=Key(int, 281),
+    n_points=Key(int, 281, minimum=1),
 )
 def _autler_scan(cfg):
     lparams = _lambda_params(cfg)
@@ -427,10 +427,10 @@ def _autler_scan(cfg):
     **_lambda_keys(),
     delta_c_min_ghz=Key(float, -1.5),
     delta_c_max_ghz=Key(float, 1.5),
-    n_c=Key(int, 61),
+    n_c=Key(int, 61, minimum=1),
     delta_d_min_ghz=Key(float, -1.5),
     delta_d_max_ghz=Key(float, 1.5),
-    n_d=Key(int, 61),
+    n_d=Key(int, 61, minimum=1),
 )
 def _autler_map(cfg):
     lparams = _lambda_params(cfg)
@@ -458,7 +458,7 @@ def _autler_map(cfg):
     pulse_ns=Key(float, 0.2),
     period_ns=Key(float, 12.5),
     p_max_nw=Key(float, -1.0),  # -1: span two full sin^2 oscillations
-    n_powers=Key(int, 70),
+    n_powers=Key(int, 70, minimum=5),  # the sin^2 fit needs 5 points
 )
 def _pulsed_rabi(cfg):
     params = _params(cfg)
@@ -491,7 +491,7 @@ def _pulsed_rabi(cfg):
     scan=Key(str, "visibility", choices=("visibility", "fringe")),
     fringe_tau_ns=Key(float, 0.5),
     tau_max_ns=Key(float, 2.4),
-    n_taus=Key(int, 13),
+    n_taus=Key(int, 13, minimum=4),  # the exponential fit needs 4 points
     n_phases=Key(int, 16, minimum=16),
     detuning_ghz=Key(float, 0.0),
 )

@@ -18,6 +18,14 @@ fixed-size blocks, and applies them in order.  Every evolution is verified
 by re-running at half the internal step; the step is refined until
 consecutive results agree below ``STEP_HALVING_TOL``.  :func:`propagator`
 returns such a verified map itself, so pulse sequences can be composed.
+
+:func:`evolve`, :func:`evolve_driven` and the steady-state integration
+fallback share one body: check the initial state, run the verified
+propagation, check every sample.  :func:`check_density_matrix` is the one
+validity check, for a matrix or a stack of them: inputs, steady states and
+composed states are held to ``HERMITICITY_TOL`` and raise
+:class:`ModelError`; sampled trajectories are held to
+``TRAJECTORY_HERMITICITY_TOL`` and raise :class:`NumericFailure`.
 """
 
 from __future__ import annotations
@@ -104,17 +112,29 @@ class Curve:
             raise ModelError("curve x and y lengths differ")
 
 
-def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate trace, Hermiticity and positivity; return as complex array."""
+def check_density_matrix(
+    rho: np.ndarray, name: str = "rho", herm_tol: float = HERMITICITY_TOL, error=ModelError
+) -> np.ndarray:
+    """Validate a density matrix or a (..., d, d) stack; return it as complex.
+
+    Every entry must be finite, every trace within ``TRACE_TOL`` of 1, every
+    matrix Hermitian within ``herm_tol`` and no eigenvalue below
+    ``-EIGENVALUE_TOL``; a violation raises ``error``.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ModelError(f"{name} must be a square matrix, got shape {rho.shape}")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise ModelError(f"{name} trace {np.trace(rho)} differs from 1 beyond {TRACE_TOL}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ModelError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
-    if np.min(np.linalg.eigvalsh(rho)) < -EIGENVALUE_TOL:
-        raise ModelError(f"{name} has an eigenvalue below -{EIGENVALUE_TOL}")
+    if not np.all(np.isfinite(rho)):
+        raise error(f"{name} has non-finite entries")
+    trace_err = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0), initial=0.0)
+    if trace_err > TRACE_TOL:
+        raise error(f"{name} trace differs from 1 by {trace_err:.3e}, beyond {TRACE_TOL}")
+    herm = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))), initial=0.0)
+    if herm > herm_tol:
+        raise error(f"{name} is not Hermitian within {herm_tol} (deviation {herm:.3e})")
+    eigmin = np.min(np.linalg.eigvalsh(rho), initial=0.0)
+    if eigmin < -EIGENVALUE_TOL:
+        raise error(f"{name} has an eigenvalue {eigmin:.3e} below -{EIGENVALUE_TOL}")
     return rho
 
 
@@ -150,18 +170,6 @@ class Liouvillian:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    _spectral_radius: float | None = field(default=None, repr=False)
-
-    def spectral_radius(self) -> float:
-        if self._spectral_radius is None:
-            self._spectral_radius = float(np.max(np.abs(np.linalg.eigvals(self.matrix))))
-        return self._spectral_radius
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """One application of the generator to a matrix."""
-        d = self.dim
-        return (self.matrix @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(d, d)
-
 
 def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
     """Validate operators and assemble the generator.
@@ -192,8 +200,8 @@ def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian
     return Liouvillian(hamiltonian=h, jumps=jump_arrays, matrix=matrix)
 
 
-def _default_dt_int(l: Liouvillian, grid: TimeGrid) -> float:
-    rate = l.spectral_radius()
+def _default_dt_int(matrix: np.ndarray, grid: TimeGrid) -> float:
+    rate = float(np.max(np.abs(np.linalg.eigvals(matrix))))
     if rate <= 0.0:
         return grid.t_end - grid.t_start
     return (2.0 * math.pi / rate) / _STEPS_PER_PERIOD
@@ -255,7 +263,14 @@ def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> lis
     sampled[hit] = True
     from_sample = np.concatenate([[True], sampled[:-1]])
     length = np.where(from_sample & sampled, grid.dt, tb - ta)
-    n_steps = np.maximum(1, np.ceil(length / dt_int)).astype(int)
+    n_steps = np.maximum(1, np.ceil(length / dt_int))
+    # the finest refinement multiplies every step count by 2**_MAX_STEP_REFINEMENTS
+    if not np.all(n_steps < 2.0 ** (63 - _MAX_STEP_REFINEMENTS)):
+        raise NumericFailure(
+            f"internal step count {np.max(n_steps):.3g} per piece overflows step "
+            f"refinement (dt_int={dt_int:.3g} ns)"
+        )
+    n_steps = n_steps.astype(int)
     # segment index per piece; len(segments) stands for the undriven gap
     mid = 0.5 * (ta + tb)
     seg = np.full(ta.size, len(segments))
@@ -359,18 +374,21 @@ def _max_abs(diff: np.ndarray) -> float:
 
 
 def _verified_propagation(
-    m0, c, segments, block, grid: TimeGrid, dt_int: float, verify: bool, error=_max_abs
+    m0, c, segments, block, grid: TimeGrid, dt_int: float | None, error=_max_abs
 ) -> np.ndarray:
     """:func:`_propagate` refined by step halving until ``error(cur - prev)``
-    falls below ``STEP_HALVING_TOL``; the schedule is built once."""
+    falls below ``STEP_HALVING_TOL``; the schedule is built once.
+
+    ``c`` is the coupling superoperator, or 0.0 for an undriven evolution;
+    ``dt_int=None`` takes the undriven default step (characteristic period
+    of ``m0`` / 200).
+    """
+    if dt_int is None:
+        dt_int = _default_dt_int(m0, grid)
     if not dt_int > 0:
         raise NumericFailure(f"internal step underflow: dt_int={dt_int}")
     runs = _schedule(grid, segments, dt_int)
     prev = _propagate(m0, c, runs, block, grid.n_points, 1)
-    if not verify:
-        if not np.all(np.isfinite(prev)):
-            raise NumericFailure("non-finite values during evolution")
-        return prev
     for refinement in range(1, _MAX_STEP_REFINEMENTS + 1):
         cur = _propagate(m0, c, runs, block, grid.n_points, 2**refinement)
         if not np.all(np.isfinite(cur)):
@@ -384,44 +402,21 @@ def _verified_propagation(
     )
 
 
-def _propagate_static(
-    l: Liouvillian, v0: np.ndarray, grid: TimeGrid, dt_int: float | None, verify: bool
-) -> np.ndarray:
-    """Verified samples of a time-independent evolution: one constant run."""
-    if dt_int is None:
-        dt_int = _default_dt_int(l, grid)
-    traj = _verified_propagation(
-        l.matrix, np.zeros_like(l.matrix), [], v0[:, None], grid, dt_int, verify
+def _evolve(m0, c, segments, rho0, grid: TimeGrid, dt_int: float | None) -> np.ndarray:
+    """The one evolution body: checked ``rho0``, verified propagation, checked samples."""
+    d = math.isqrt(m0.shape[0])
+    rho0 = check_density_matrix(rho0, "rho0")
+    if rho0.shape != (d, d):
+        raise ModelError(f"rho0 dim {rho0.shape[0]} != generator dim {d}")
+    traj = _verified_propagation(m0, c, segments, rho0.reshape(-1, 1), grid, dt_int)
+    return check_density_matrix(
+        traj.reshape(grid.n_points, d, d), "evolved trajectory",
+        TRAJECTORY_HERMITICITY_TOL, NumericFailure,
     )
-    return traj[..., 0]
-
-
-def _check_trajectory(rhos: np.ndarray):
-    if not np.all(np.isfinite(rhos.view(float))):
-        raise NumericFailure("non-finite values in evolved trajectory")
-    traces = np.trace(rhos, axis1=1, axis2=2)
-    if np.max(np.abs(traces - 1.0)) > TRACE_TOL:
-        raise NumericFailure(
-            f"trace drift {np.max(np.abs(traces - 1.0)):.3e} exceeds {TRACE_TOL}"
-        )
-    herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))))
-    if herm > TRAJECTORY_HERMITICITY_TOL:
-        raise NumericFailure(
-            f"Hermiticity drift {herm:.3e} exceeds {TRAJECTORY_HERMITICITY_TOL}"
-        )
-    eigmin = np.min(np.linalg.eigvalsh(rhos))
-    if eigmin < -EIGENVALUE_TOL:
-        raise NumericFailure(
-            f"negative eigenvalue {eigmin:.3e} beyond -{EIGENVALUE_TOL}"
-        )
 
 
 def evolve(
-    l: Liouvillian,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    dt_int: float | None = None,
-    verify: bool = True,
+    l: Liouvillian, rho0: np.ndarray, grid: TimeGrid, dt_int: float | None = None
 ) -> np.ndarray:
     """Evolve ``rho0`` under the generator, sampling on ``grid``.
 
@@ -430,37 +425,23 @@ def evolve(
     :class:`NumericFailure` if violated; they are never silently fixed.
 
     ``dt_int`` is the internal RK4 step (default: characteristic generator
-    period / 200).  With ``verify=True`` (default) the integration is
-    repeated at half the step until samples agree below
-    ``STEP_HALVING_TOL``; ``verify=False`` exposes the raw fixed-step
-    integrator, mainly for convergence studies.
+    period / 200).  The integration is repeated at half the step until
+    samples agree below ``STEP_HALVING_TOL``.
     """
-    rho0 = check_density_matrix(rho0, "rho0")
-    if rho0.shape[0] != l.dim:
-        raise ModelError(f"rho0 dim {rho0.shape[0]} != generator dim {l.dim}")
-    traj = _propagate_static(l, rho0.reshape(-1), grid, dt_int, verify)
-    rhos = traj.reshape(grid.n_points, l.dim, l.dim)
-    _check_trajectory(rhos)
-    return rhos
+    return _evolve(l.matrix, 0.0, [], rho0, grid, dt_int)
 
 
 # -- time-dependent drive ---------------------------------------------------
 
 
-def _driven_setup(l0: Liouvillian, coupling, segments, grid: TimeGrid, dt_int):
-    """Checked coupling superoperator and the internal step of a driven run."""
+def _coupling_superop(coupling, dim: int) -> np.ndarray:
+    """Superoperator of a Hermitian drive coupling of dimension ``dim``."""
     coupling = np.asarray(coupling, dtype=complex)
+    if coupling.shape != (dim, dim):
+        raise ModelError("coupling dimension mismatch")
     if np.max(np.abs(coupling - coupling.conj().T)) > HERMITICITY_TOL:
         raise ModelError("coupling operator is not Hermitian")
-    if coupling.shape != (l0.dim, l0.dim):
-        raise ModelError("coupling dimension mismatch")
-    c_super = hamiltonian_superop(coupling)
-    if dt_int is None:
-        amps = [a for _, _, a in segments if not callable(a)]
-        amax = max([abs(a) for a in amps] + [1.0])
-        probe = Liouvillian(l0.hamiltonian, l0.jumps, l0.matrix + amax * c_super)
-        dt_int = _default_dt_int(probe, grid)
-    return c_super, dt_int
+    return hamiltonian_superop(coupling)
 
 
 def evolve_driven(
@@ -469,23 +450,17 @@ def evolve_driven(
     segments: Sequence[Segment],
     rho0: np.ndarray,
     grid: TimeGrid,
-    dt_int: float | None = None,
-    verify: bool = True,
+    dt_int: float,
 ) -> np.ndarray:
     """Evolve under H(t) = H0 + a(t) * coupling with the static dissipator.
 
     ``coupling`` must be Hermitian; ``segments`` lists (t0, t1, amplitude)
     pieces of a(t) (constant float or callable), amplitude 0 outside.
-    Returns sampled density matrices as in :func:`evolve`.
+    ``dt_int`` is the internal RK4 step before step halving.  Returns
+    sampled density matrices as in :func:`evolve`.
     """
-    rho0 = check_density_matrix(rho0, "rho0")
-    c_super, dt_int = _driven_setup(l0, coupling, segments, grid, dt_int)
-    traj = _verified_propagation(
-        l0.matrix, c_super, segments, rho0.reshape(-1, 1), grid, dt_int, verify
-    )
-    rhos = traj.reshape(grid.n_points, l0.dim, l0.dim)
-    _check_trajectory(rhos)
-    return rhos
+    c_super = _coupling_superop(coupling, l0.dim)
+    return _evolve(l0.matrix, c_super, segments, rho0, grid, dt_int)
 
 
 def _induced_inf_norm(diff: np.ndarray) -> float:
@@ -497,7 +472,7 @@ def propagator(
     coupling: np.ndarray,
     segments: Sequence[Segment],
     t_end: float,
-    dt_int: float | None = None,
+    dt_int: float,
 ) -> np.ndarray:
     """Verified d^2 x d^2 map of the driven evolution over [0, t_end].
 
@@ -508,11 +483,11 @@ def propagator(
     ``STEP_HALVING_TOL``, which bounds the change of every entry of
     ``M @ v`` for any ``v`` with entries of modulus <= 1.
     """
-    grid = TimeGrid(0.0, t_end, 2)
-    c_super, dt_int = _driven_setup(l0, coupling, segments, grid, dt_int)
+    c_super = _coupling_superop(coupling, l0.dim)
     eye = np.eye(l0.matrix.shape[0], dtype=complex)
     maps = _verified_propagation(
-        l0.matrix, c_super, segments, eye, grid, dt_int, True, _induced_inf_norm
+        l0.matrix, c_super, segments, eye, TimeGrid(0.0, t_end, 2), dt_int,
+        _induced_inf_norm,
     )
     return maps[-1]
 
@@ -557,9 +532,7 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~(residual < STEADY_STATE_RESIDUAL_TOL)):
         rhos[i] = _integrated_steady_state(m[i], eigs[i][~null[i]])
     rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
-    for rho in rhos:
-        check_density_matrix(rho, "steady state")
-    return rhos
+    return check_density_matrix(rhos, "steady state")
 
 
 def _integrated_steady_state(matrix: np.ndarray, decay_eigs: np.ndarray) -> np.ndarray:
@@ -567,13 +540,12 @@ def _integrated_steady_state(matrix: np.ndarray, decay_eigs: np.ndarray) -> np.n
 
     The horizon is 40x the slowest decay time among ``decay_eigs`` (the
     generator's non-zero eigenvalues), so the start-up transient is damped
-    by e^-40, far below the residual tolerance.  Only the generator matrix
-    enters the evolution, so the Hamiltonian slot holds a placeholder.
+    by e^-40, far below the residual tolerance.
     """
     d = math.isqrt(matrix.shape[0])
     horizon = 40.0 / max(np.min(np.abs(decay_eigs.real)), 1e-12)
-    l = Liouvillian(np.zeros((d, d), dtype=complex), [], matrix)
-    rho = evolve(l, np.eye(d, dtype=complex) / d, TimeGrid(0.0, horizon, 64))[-1]
+    mixed = np.eye(d, dtype=complex) / d
+    rho = _evolve(matrix, 0.0, [], mixed, TimeGrid(0.0, horizon, 64), None)[-1]
     residual = np.linalg.norm(matrix @ rho.reshape(-1))
     if residual >= STEADY_STATE_RESIDUAL_TOL:
         raise NumericFailure(
@@ -613,6 +585,6 @@ def regression_correlator(
             f"rho_ss is not stationary for this generator (residual {stationarity:.3e})"
         )
     s0 = np.asarray(b_left, dtype=complex) @ rho_ss @ np.asarray(b_right, dtype=complex)
-    traj = _propagate_static(l, s0.reshape(-1), grid, dt_int, verify=True)
+    traj = _verified_propagation(l.matrix, 0.0, [], s0.reshape(-1, 1), grid, dt_int)
     a_vec = np.asarray(a, dtype=complex).T.reshape(-1)
-    return traj @ a_vec
+    return traj[..., 0] @ a_vec

@@ -65,7 +65,7 @@ def population_table(
 
     Every piece is a verified evolution: the first-pulse state once, one
     free evolution per delay and one :func:`qdyn.propagator` map per phase
-    for the second pulse; each composed final state passes
+    for the second pulse; the stack of composed final states passes
     :func:`qdyn.check_density_matrix`.
     """
     taus = np.asarray(taus, dtype=float)
@@ -94,8 +94,7 @@ def population_table(
         for ph in phases
     ]).reshape(-1, d * d, d * d)
     finals = (maps[None] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
-    for rho in finals:
-        qdyn.check_density_matrix(rho, "Ramsey final state")
+    qdyn.check_density_matrix(finals, "Ramsey final state")
     return finals[:, EXCITED, EXCITED].real.reshape(taus.size, len(maps))
 
 

@@ -27,6 +27,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
 
 def _axes(xlo, xhi, ylo, yhi, title, xlabel, ylabel):
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
+    # a single point or a constant series gets a unit span around it
+    if xhi == xlo:
+        xlo, xhi = xlo - 0.5, xhi + 0.5
+    if yhi == ylo:
+        ylo, yhi = ylo - 0.5, yhi + 0.5
 
     def sx(x):
         return _ML + (x - xlo) / (xhi - xlo) * pw
@@ -78,8 +83,6 @@ def line_plot(path, x, ys, labels=(), title="", xlabel="x", ylabel="y",
     series = [np.asarray(y, dtype=float) for y in ys]
     ylo = min(float(np.min(y)) for y in series)
     yhi = max(float(np.max(y)) for y in series)
-    if yhi == ylo:
-        yhi = ylo + 1.0
     pad = 0.05 * (yhi - ylo)
     parts, sx, sy = _axes(float(x[0]), float(x[-1]), ylo - pad, yhi + pad,
                           title, xlabel, ylabel)

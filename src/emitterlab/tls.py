@@ -447,15 +447,16 @@ def pulsed_rabi_scan(
     """
     powers = np.asarray(power_range, dtype=float)
     t_read = pulse.on_end()
+    l0 = qdyn.build_liouvillian(np.zeros((2, 2)), decay_jumps(params))
+    grid = TimeGrid(0.0, t_read, 9)
     pops = np.empty(powers.size)
     for i, p in enumerate(powers):
         omega = TWO_PI * power_to_rabi(calib, params, p)
         if omega == 0.0:
             pops[i] = 0.0
             continue
-        grid = TimeGrid(0.0, t_read, 9)
         rhos = qdyn.evolve_driven(
-            qdyn.build_liouvillian(np.zeros((2, 2)), decay_jumps(params)),
+            l0,
             0.5 * SIGMA_X,
             drive_segments(pulse, omega, t_read),
             RHO_GROUND,

@@ -54,6 +54,12 @@ class TestConfigParsing:
             ("ramsey", "n_phases", 3),
             ("autler_scan", "pump_power_nw", -5),
             ("autler_map", "probe_power_nw", -5),
+            ("pulsed_rabi", "n_powers", 4),
+            ("ramsey", "n_taus", 3),
+            ("detuning_map", "n_detunings", 0),
+            ("autler_map", "n_c", 0),
+            ("autler_map", "n_d", -1),
+            ("autler_scan", "n_points", 0),
         ]
     ])
     def test_size_minimum_exits_2_before_compute(self, tmp_path, capsys,
@@ -357,6 +363,32 @@ class TestErrorPaths:
             "experiment = rabi_trace\nrise_ns = 0.01\nn_points = 301\n",
         )
         assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("pulsed_rabi", "p_max_nw", 1e308),
+        ("rabi_trace", "rabi_ghz", 1e200),
+    ])
+    def test_step_count_overflow_exits_3(self, tmp_path, capsys, experiment, key, value):
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: value}) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericFailure: internal step count")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment,key", [
+        (name, key) for name, exp in cli.EXPERIMENTS.items()
+        for key in exp.schema if key.startswith("n_")
+    ])
+    @pytest.mark.parametrize("value", [-1, 0, 1])
+    def test_degenerate_sizes_with_plot(self, tmp_path, capsys, experiment, key, value):
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\n{key} = {value}\n")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--plot"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert f"'{key}'" in err
 
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "envout"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emitterlab import qdyn, tls
-from emitterlab.errors import ModelError
+from emitterlab.errors import ModelError, NumericFailure
 from emitterlab.qdyn import TimeGrid
 
 T1 = 1.85
@@ -17,11 +17,38 @@ def drive_liouvillian(t1, t2, rabi_ghz):
     return tls.tls_liouvillian(tls.TlsParams(t1, t2), tls.Drive(rabi_ghz))
 
 
+def fixed_step_evolve(l, rho0, grid, dt_int):
+    """The raw fixed-step integrator: one pass of the kernel, no step halving."""
+    runs = qdyn._schedule(grid, [], dt_int)
+    v0 = rho0.reshape(-1, 1).astype(complex)
+    traj = qdyn._propagate(l.matrix, 0.0, runs, v0, grid.n_points, 1)
+    return traj.reshape(grid.n_points, l.dim, l.dim)
+
+
+class TestCheckDensityMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_entries_rejected(self, bad, stacked):
+        rho = np.full((2, 2), bad, dtype=complex)
+        if stacked:
+            rho = np.array([RHO_G, rho, RHO_E])
+        with pytest.raises(ModelError, match="non-finite"):
+            qdyn.check_density_matrix(rho)
+
+    def test_stack_hermiticity_at_given_tolerance(self):
+        stack = np.array([RHO_G, 0.5 * RHO_G + 0.5 * RHO_E, RHO_E])
+        assert qdyn.check_density_matrix(stack).shape == (3, 2, 2)
+        stack[1, 0, 1] = 1e-11
+        with pytest.raises(NumericFailure, match="Hermitian"):
+            qdyn.check_density_matrix(stack, "trajectory", 1e-12, NumericFailure)
+        qdyn.check_density_matrix(stack, "trajectory", 1e-10, NumericFailure)
+
+
 class TestBuildLiouvillian:
     def test_zero_generator_maps_to_zero(self):
         l = qdyn.build_liouvillian(np.zeros((2, 2)), [])
         rho = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
-        assert np.max(np.abs(l.apply(rho))) == 0.0
+        assert np.max(np.abs(l.matrix @ rho.reshape(-1))) == 0.0
 
     def test_coherence_decay_rate_is_half_gamma(self, decay_liouvillian):
         # d(rho_ge)/dt = -rho_ge / (2 T1) for pure radiative decay
@@ -67,6 +94,12 @@ class TestEvolve:
         with pytest.raises(ModelError, match="trace"):
             qdyn.evolve(decay_liouvillian, 2.0 * RHO_E, TimeGrid(0.0, 1.0, 2))
 
+    def test_driven_rho0_dimension_mismatch_rejected(self):
+        l0, segments, dt_int = _driven_case("square")
+        with pytest.raises(ModelError, match="dim"):
+            qdyn.evolve_driven(l0, 0.5 * tls.SIGMA_X, segments, np.eye(3) / 3,
+                               GRID_20, dt_int=dt_int)
+
     def test_trajectory_invariants(self):
         # trace, Hermiticity and positivity at every sample
         l = drive_liouvillian(1.85, 1.62, 1.854)
@@ -84,7 +117,7 @@ class TestEvolve:
         dts = np.array([0.1, 0.05, 0.025, 0.0125, 0.00625])
         errs = []
         for dt in dts:
-            rhos = qdyn.evolve(l, RHO_E, grid, dt_int=dt, verify=False)
+            rhos = fixed_step_evolve(l, RHO_E, grid, dt)
             errs.append(abs(rhos[-1][1, 1].real - np.exp(-1.0 / 0.5)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 3.5 < slope < 4.5
@@ -100,7 +133,7 @@ class TestEvolve:
         for _ in range(grid.n_points - 1):
             v = step @ v
             expected.append(v)
-        rhos = qdyn.evolve(l, RHO_G, grid, dt_int=grid.dt / 4, verify=False)
+        rhos = fixed_step_evolve(l, RHO_G, grid, grid.dt / 4)
         assert np.max(np.abs(rhos.reshape(grid.n_points, -1) - expected)) < 1e-12
 
 
