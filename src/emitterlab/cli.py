@@ -8,7 +8,8 @@ One emitter writes what every experiment's compute returns: a CSV document
 per table (metadata lines carrying the artifact version and a config
 hash), a fit report when the experiment includes a fit and an SVG plot
 with ``--plot``.  Exit codes: 0 success, 2 configuration error (message
-names the offending key), 3 numeric failure.
+names the offending key), 3 numeric failure (including running out of
+memory), 1 filesystem error (an unreadable input or an unwritable output).
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def run(
         _emit(name, cfg, result, out, plot)
     except (NumericFailure, ModelError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: filesystem: {exc}", file=sys.stderr)

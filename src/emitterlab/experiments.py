@@ -289,32 +289,24 @@ def _detuning_map(cfg):
                             cfg["n_detunings"])
     n_on = int(cfg["pulse_ns"] / grid.dt)
     on_grid = TimeGrid(0.0, (n_on - 1) * grid.dt, n_on)
-    traces = []
+    traces = tls.rabi_traces(params, cfg["rabi_ghz"], detunings, pulse, grid)
     peak_rows = []
-    for det in detunings:
-        trace = tls.rabi_trace_numeric(
-            params, tls.Drive(cfg["rabi_ghz"], float(det)), pulse, grid
-        )
-        spectrum, found = photostats.fft_peaks(
-            TimeTrace(on_grid, trace.values[:n_on]), n_peaks=1
-        )
-        traces.append(trace.values)
+    for det, values in zip(detunings, traces):
+        spectrum, found = photostats.fft_peaks(TimeTrace(on_grid, values[:n_on]), n_peaks=1)
         peak_rows.append(
             (det, found[0][0] if found else math.nan, spectrum.meta["bin_ghz"])
         )
     times = grid.times()
-    map_rows = (
-        (det, t, v) for det, values in zip(detunings, traces) for t, v in zip(times, values)
-    )
     return Result(
         f"detuning_map: {len(detunings)} detunings, Omega/2pi={cfg['rabi_ghz']} GHz",
         {"peaks": peak_rows},
         tables=[
-            ("detuning_map.csv", ["detuning_ghz", "t_ns", "population"], map_rows),
+            ("detuning_map.csv", ["detuning_ghz", "t_ns", "population"],
+             csvio.matrix_rows(detunings, times, traces)),
             ("detuning_fft_peaks.csv", ["detuning_ghz", "peak_ghz", "bin_ghz"], peak_rows),
         ],
         plot=Plot(times, detunings, "detuning map", "t (ns)", "detuning (GHz)",
-                  z=np.array(traces)),
+                  z=traces),
     )
 
 

@@ -30,11 +30,6 @@ G_C, G_D, E = 0, 1, 2
 
 _DEFAULT_T1 = 1.85
 
-# Informational level splittings (GHz); large enough that C and D are
-# addressed independently, so no cross-driving terms appear in the RWA.
-DELTA_E_GHZ = 410.0
-DELTA_G_GHZ = 228.0
-
 
 def _proj(i: int) -> np.ndarray:
     m = np.zeros((3, 3), dtype=complex)
@@ -64,7 +59,6 @@ class LambdaParams:
     gamma_ground: float = 1.0 / 40.0
     gamma_phi_e: float = 0.0
     gamma_phi_g: float = 0.0
-    level_splittings: tuple = (DELTA_E_GHZ, DELTA_G_GHZ)
 
     def __post_init__(self):
         for name in ("gamma_c", "gamma_d", "gamma_ground", "gamma_phi_e", "gamma_phi_g"):
@@ -72,13 +66,6 @@ class LambdaParams:
                 raise ModelError(f"{name} must be >= 0")
         if self.gamma_c + self.gamma_d <= 0:
             raise ModelError("total radiative decay gamma_c + gamma_d must be > 0")
-
-    @classmethod
-    def from_lifetime(cls, t1: float, **overrides) -> "LambdaParams":
-        """Equal-branching parameters with gamma_c + gamma_d = 1/t1."""
-        kwargs = {"gamma_c": 0.5 / t1, "gamma_d": 0.5 / t1}
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     @property
     def t1(self) -> float:
@@ -108,7 +95,7 @@ DETUNING_D = np.diag([0.0, 1.0, 0.0]).astype(complex)
 _MAP_BLOCK = 1024
 
 
-def lambda_liouvillian(params: LambdaParams, drive: LambdaDrive) -> qdyn.Liouvillian:
+def lambda_liouvillian(params: LambdaParams, drive: LambdaDrive) -> np.ndarray:
     """Doubly-rotating-frame RWA generator of the driven lambda system."""
     o_c = TWO_PI * drive.omega_c_ghz
     o_d = TWO_PI * drive.omega_d_ghz
@@ -179,7 +166,7 @@ def at_map2d(
     for start in range(0, fluor.size, _MAP_BLOCK):
         point = np.arange(start, min(start + _MAP_BLOCK, fluor.size))
         stack = (
-            l0.matrix
+            l0
             + dcs[point // dds.size, None, None] * a
             + dds[point % dds.size, None, None] * b
         )

@@ -161,7 +161,7 @@ def emission_spectrum(params: TlsParams, drive: Drive, freq_range) -> Spectrum:
     x = SIGMA_MINUS @ rho_ss - np.trace(SIGMA_MINUS @ rho_ss) * rho_ss
     q = np.outer(rho_ss.reshape(-1), np.eye(2).reshape(-1))
     omega_rot = TWO_PI * (freq - drive.detuning_ghz)
-    lhs = 1j * omega_rot[:, None, None] * np.eye(4) - l.matrix + q
+    lhs = 1j * omega_rot[:, None, None] * np.eye(4) - l + q
     y = np.linalg.solve(lhs, np.broadcast_to(x.reshape(4, 1), (freq.size, 4, 1)))
     s = 2.0 * np.real(y[..., 0] @ SIGMA_PLUS.T.reshape(-1))
     floor = -1e-6 * max(np.max(s), 1e-300)

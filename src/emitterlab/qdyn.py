@@ -2,10 +2,9 @@
 
 All internal frequencies are angular (rad/ns) and all times are ns;
 public modules convert from ordinary GHz exactly once at their boundary.
-Density matrices are plain complex numpy arrays.  Generators are held
-both as (hamiltonian, jumps) and as the vectorized superoperator matrix
-acting on row-major ``vec(rho)``; the matrix backs time evolution, the
-steady-state solve and two-time correlators.
+Density matrices and generators are plain complex numpy arrays; a
+generator is the superoperator matrix acting on row-major ``vec(rho)``,
+(d^2, d^2), or a (..., d^2, d^2) stack of them.
 
 Time evolution is classical fixed-step 4th-order Runge-Kutta.  The RK4
 update is linear in the state, so every internal step is a fixed map on
@@ -19,17 +18,23 @@ by re-running at half the internal step; the step is refined until
 consecutive results agree below ``STEP_HALVING_TOL``.  :func:`propagator`
 returns such a verified map itself, so pulse sequences can be composed.
 
+A scan is one verified propagation: generators and drive couplings (drive
+strength included; segments carry the unit envelope) may be broadcasting
+stacks whose members share the initial state, the schedule and the finest
+member's step, and step halving refines on the maximum over the batch.
 :func:`evolve`, :func:`evolve_driven` and the steady-state integration
 fallback share one body: check the initial state, run the verified
-propagation, check every sample.  :func:`check_density_matrix` is the one
-validity check, for a matrix or a stack of them: inputs, steady states and
-composed states are held to ``HERMITICITY_TOL`` and raise
-:class:`ModelError`; sampled trajectories are held to
-``TRAJECTORY_HERMITICITY_TOL`` and raise :class:`NumericFailure`.
+propagation, check every sample of every member.
+:func:`check_density_matrix` is the one validity check, for a matrix or a
+stack of them: inputs, steady states and composed states are held to
+``HERMITICITY_TOL`` and raise :class:`ModelError`; sampled trajectories
+are held to ``TRAJECTORY_HERMITICITY_TOL`` and raise
+:class:`NumericFailure`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -139,9 +144,14 @@ def check_density_matrix(
 
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[h, .] in row-major vectorization."""
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    """Superoperator of -i[h, .] in row-major vectorization, for a (..., d, d) stack."""
+    h = np.asarray(h)
+    d = h.shape[-1]
+    eye = np.eye(d)
+    # kron(h, eye) - kron(eye, h.T), member by member
+    left = h[..., :, None, :, None] * eye[:, None, :]
+    right = eye[:, None, :, None] * np.swapaxes(h, -1, -2)[..., None, :, None, :]
+    return -1j * (left - right).reshape(*h.shape[:-2], d * d, d * d)
 
 
 def dissipator_superop(jumps: Sequence[np.ndarray], dim: int) -> np.ndarray:
@@ -154,40 +164,30 @@ def dissipator_superop(jumps: Sequence[np.ndarray], dim: int) -> np.ndarray:
     return m
 
 
-@dataclass
-class Liouvillian:
-    """Lindblad generator; build via :func:`build_liouvillian`.
-
-    ``matrix`` is the vectorized superoperator (dim^2 x dim^2), with decay
-    rates already absorbed into the jump-operator normalization.
-    """
-
-    hamiltonian: np.ndarray
-    jumps: list
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+def _hermitian(op, name: str, dim: int | None = None) -> np.ndarray:
+    """``op`` as a complex (..., d, d) stack, checked square (d = ``dim`` if
+    given) and Hermitian within ``HERMITICITY_TOL``."""
+    op = np.asarray(op, dtype=complex)
+    if op.ndim < 2 or op.shape[-1] != op.shape[-2] or dim not in (None, op.shape[-1]):
+        raise ModelError(f"{name} has shape {op.shape}, need (..., {dim or 'd'}, {dim or 'd'})")
+    if np.max(np.abs(op - np.conj(np.swapaxes(op, -1, -2))), initial=0.0) > HERMITICITY_TOL:
+        raise ModelError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
+    return op
 
 
-def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
-    """Validate operators and assemble the generator.
+def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
+    """Validate operators and assemble the (d^2, d^2) generator matrix.
 
     Parameters
     ----------
     h : ndarray
         Hamiltonian in rad/ns (rotating frame); must be Hermitian within
-        ``HERMITICITY_TOL``.
+        ``HERMITICITY_TOL``.  A (..., d, d) stack gives a stack of generators.
     jumps : sequence of ndarray
         Jump operators with rates absorbed (units 1/sqrt(ns)).
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ModelError(f"hamiltonian must be square, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-        raise ModelError(f"hamiltonian is not Hermitian within {HERMITICITY_TOL}")
-    dim = h.shape[0]
+    h = _hermitian(h, "hamiltonian")
+    dim = h.shape[-1]
     jump_arrays = []
     for k, op in enumerate(jumps):
         op = np.asarray(op, dtype=complex)
@@ -196,8 +196,7 @@ def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian
                 f"jump operator {k} has shape {op.shape}, expected {(dim, dim)}"
             )
         jump_arrays.append(op)
-    matrix = hamiltonian_superop(h) + dissipator_superop(jump_arrays, dim)
-    return Liouvillian(hamiltonian=h, jumps=jump_arrays, matrix=matrix)
+    return hamiltonian_superop(h) + dissipator_superop(jump_arrays, dim)
 
 
 def _default_dt_int(matrix: np.ndarray, grid: TimeGrid) -> float:
@@ -208,31 +207,31 @@ def _default_dt_int(matrix: np.ndarray, grid: TimeGrid) -> float:
 
 
 def _rk4_propagator(matrix: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 map for the autonomous linear system v' = M v."""
+    """One-step RK4 maps of v' = M v for a (..., D, D) stack of generators."""
     a = h * matrix
-    eye = np.eye(matrix.shape[0], dtype=complex)
+    eye = np.eye(matrix.shape[-1], dtype=complex)
     return eye + a + (a @ a) / 2.0 + (a @ a @ a) / 6.0 + (a @ a @ a @ a) / 24.0
 
 
 # -- propagation kernel -----------------------------------------------------
 
-# A drive segment: (t0, t1, amplitude); amplitude is a float for constant
-# drive or a callable t -> amplitude for shaped pulses, which must accept a
-# numpy array of times.  Gaps between segments mean amplitude 0.  Segment
-# edges never fall inside an integration sub-step, so discontinuous (square)
-# envelopes keep full RK4 accuracy.
+# A drive segment: (t0, t1, envelope) of the drive envelope(t) * coupling;
+# the envelope is a float for constant drive or a callable t -> envelope for
+# shaped pulses, which must accept a numpy array of times.  Gaps between
+# segments mean envelope 0.  Segment edges never fall inside an integration
+# sub-step, so discontinuous (square) envelopes keep full RK4 accuracy.
 Segment = tuple[float, float, "float | Callable[[np.ndarray], np.ndarray]"]
 
-# Shaped runs build their one-step RK4 maps at most this many steps at a
-# time, so memory does not grow with the trace length.
-_STEP_BLOCK = 256
+# Shaped runs build at most this many one-step RK4 maps at a time, over batch
+# members, pieces and steps, so memory grows with neither trace nor batch.
+_STEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class _Run:
     """Consecutive pieces of a schedule with equal drive, length and sampling."""
 
-    amp: object  # float, or the segment's callable
+    amp: object  # envelope: a float, or the segment's callable
     starts: np.ndarray  # start time of each piece (ns)
     length: float  # piece length (ns)
     n_steps: int  # RK4 steps per piece before step refinement
@@ -294,32 +293,66 @@ def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> lis
 
 
 def _chain(maps: np.ndarray) -> np.ndarray:
-    """Ordered products maps[:, -1] @ ... @ maps[:, 0], by pairwise reduction."""
-    while maps.shape[1] > 1:
-        even = maps.shape[1] // 2 * 2
-        pairs = maps[:, 1:even:2] @ maps[:, 0:even:2]
-        maps = np.concatenate([pairs, maps[:, even:]], axis=1)
-    return maps[:, 0]
+    """Ordered product of the maps along axis -3, last first, by pairwise reduction."""
+    while maps.shape[-3] > 1:
+        even = maps.shape[-3] // 2 * 2
+        pairs = maps[..., 1:even:2, :, :] @ maps[..., 0:even:2, :, :]
+        maps = np.concatenate([pairs, maps[..., even:, :, :]], axis=-3)
+    return maps[..., 0, :, :]
 
 
-def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """Maps of ``n_steps`` RK4 steps of v' = (m0 + amp(t) c) v from each start.
+# One RK4 step of v' = A(t) v is I plus these products of the stage
+# generators A_s at t, t + h/2 and t + h (s = 0, 1, 2), read left to right:
+# (stages, power of h, factor).
+_RK4_TERMS = (((0,), 1, 1 / 6), ((1,), 1, 2 / 3), ((2,), 1, 1 / 6),
+              ((1, 0), 2, 1 / 6), ((1, 1), 2, 1 / 6), ((2, 1), 2, 1 / 6),
+              ((1, 1, 0), 3, 1 / 12), ((2, 1, 1), 3, 1 / 12), ((2, 1, 1, 0), 4, 1 / 24))
+# With A_s = m0 + e_s c a product expands into words in m0 (0) and c (1),
+# each weighted by the envelope values e_s at its c positions.  Per
+# expansion entry: the term, the word, and the stage read at each of four
+# positions, where 3 reads 1 (an m0 position or no factor).
+_WORDS = [w for n in range(1, 5) for w in itertools.product((0, 1), repeat=n)]
+_TERM, _WORD, _STAGES = (np.array(x) for x in zip(*[
+    (k, _WORDS.index(w), [s if bit else 3 for s, bit in zip(stages, w)] + [3] * (4 - len(w)))
+    for k, (stages, _, _) in enumerate(_RK4_TERMS)
+    for w in itertools.product((0, 1), repeat=len(stages))
+]))
 
-    The one-step maps are built stacked, ``_STEP_BLOCK`` steps per piece at
-    a time, with one amplitude call per block.
+
+def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int):
+    """Yield the (N, D, D) maps of ``n_steps`` RK4 steps of
+    v' = (m0 + amp(t) c) v from each start in turn.
+
+    A one-step map is I plus the word products of m0 and c, built once,
+    weighted by envelope monomials.  The maps are built stacked, at most
+    ``_STEP_BLOCK`` per block over members, pieces and steps, with one
+    envelope call per block.
     """
-    eye = np.eye(m0.shape[0], dtype=complex)
-    total = None
-    for j0 in range(0, n_steps, _STEP_BLOCK):
-        t = starts[:, None] + np.arange(j0, min(j0 + _STEP_BLOCK, n_steps)) * h
-        times = np.stack([t, t + 0.5 * h, t + h])
-        m = m0 + np.broadcast_to(amp(times), times.shape)[..., None, None] * c
-        k2 = m[1] @ (eye + (0.5 * h) * m[0])
-        k3 = m[1] @ (eye + (0.5 * h) * k2)
-        k4 = m[2] @ (eye + h * k3)
-        maps = _chain(eye + (h / 6.0) * (m[0] + 2.0 * (k2 + k3) + k4))
-        total = maps if total is None else maps @ total
-    return total
+    n, size = m0.shape[0], m0.shape[-1]
+    products = {}
+    for w in _WORDS:
+        op = c if w[-1] else m0
+        products[w] = products[w[:-1]] @ op if len(w) > 1 else op
+    weight = np.array([h**p * f for _, p, f in _RK4_TERMS])[_TERM, None, None]
+    terms = np.stack([products[_WORDS[w]] for w in _WORD], axis=1) * weight
+    # as (re, im) pairs, so the real coefficients need no complex product
+    terms = terms.reshape(n, _TERM.size, size * size).view(float)
+    eye = np.eye(size, dtype=complex)
+    budget = max(1, _STEP_BLOCK // max(n, 1))
+    pieces = max(1, budget // n_steps)
+    for i0 in range(0, starts.size, pieces):
+        group = starts[i0:i0 + pieces]
+        per_block = max(1, budget // group.size)
+        total = None
+        for j0 in range(0, n_steps, per_block):
+            t = group[:, None] + np.arange(j0, min(j0 + per_block, n_steps)) * h
+            env = np.broadcast_to(amp(np.stack([t, t + 0.5 * h, t + h])), (3, *t.shape))
+            env = np.concatenate([env, np.ones((1, *t.shape))])
+            coef = np.prod(env[_STAGES], axis=1).reshape(_TERM.size, -1)
+            steps = (coef.T @ terms).view(complex).reshape(n, *t.shape, size, size)
+            maps = _chain(eye + steps)
+            total = maps if total is None else maps @ total
+        yield from np.swapaxes(total, 0, 1)
 
 
 def _orbit(q: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -336,28 +369,26 @@ def _orbit(q: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _propagate(m0, c, runs: list, block: np.ndarray, n_points: int, scale: int) -> np.ndarray:
-    """Sampled states of v' = (m0 + a(t) c) v for a (d^2, k) block of vectors.
+    """Sampled states of v' = (m0 + a(t) c) v for one (D, k) block of vectors,
+    under each of the N members of the (N, D, D) stacks ``m0`` and ``c``.
 
     Every piece gets ``scale`` times its base step count.  A constant run
     is one map applied by doubling; a shaped run applies its stacked piece
-    maps in order.  Returns shape (n_points, d^2, k).
+    maps in order.  Returns shape (n_points, N, D, k).
     """
-    out = np.empty((n_points, *block.shape), dtype=complex)
-    out[0] = v = block
+    out = np.empty((n_points, m0.shape[0], *block.shape), dtype=complex)
+    out[0] = v = np.broadcast_to(block, out.shape[1:])
     i = 1
     for run in runs:
         n = run.starts.size
         n_steps = run.n_steps * scale
         h = run.length / n_steps
         if callable(run.amp):
-            per_block = max(1, _STEP_BLOCK // n_steps)
-            for i0 in range(0, n, per_block):
-                starts = run.starts[i0:i0 + per_block]
-                for q in _shaped_maps(m0, c, run.amp, starts, h, n_steps):
-                    v = q @ v
-                    if run.sampled:
-                        out[i] = v
-                        i += 1
+            for q in _shaped_maps(m0, c, run.amp, run.starts, h, n_steps):
+                v = q @ v
+                if run.sampled:
+                    out[i] = v
+                    i += 1
             continue
         q = np.linalg.matrix_power(_rk4_propagator(m0 + run.amp * c, h), n_steps)
         if run.sampled:
@@ -370,19 +401,23 @@ def _propagate(m0, c, runs: list, block: np.ndarray, n_points: int, scale: int) 
 
 
 def _max_abs(diff: np.ndarray) -> float:
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def _verified_propagation(
     m0, c, segments, block, grid: TimeGrid, dt_int: float | None, error=_max_abs
 ) -> np.ndarray:
-    """:func:`_propagate` refined by step halving until ``error(cur - prev)``
-    falls below ``STEP_HALVING_TOL``; the schedule is built once.
+    """:func:`_propagate` refined by step halving until ``error(cur - prev)``,
+    taken over the whole batch, falls below ``STEP_HALVING_TOL``.
 
-    ``c`` is the coupling superoperator, or 0.0 for an undriven evolution;
-    ``dt_int=None`` takes the undriven default step (characteristic period
-    of ``m0`` / 200).
+    ``m0`` and ``c`` broadcast as (..., D, D) stacks (``c`` is 0.0 when
+    undriven); ``dt_int=None`` takes the undriven default step (period of
+    the fastest ``m0`` / 200).  Returns shape (*batch, n_points, D, k).
     """
+    batch = np.broadcast_shapes(np.shape(m0)[:-2], np.shape(c)[:-2])
+    size = np.shape(m0)[-1]
+    m0, c = (np.broadcast_to(x, (*batch, size, size)).reshape(-1, size, size)
+             for x in (m0, c))
     if dt_int is None:
         dt_int = _default_dt_int(m0, grid)
     if not dt_int > 0:
@@ -394,7 +429,7 @@ def _verified_propagation(
         if not np.all(np.isfinite(cur)):
             raise NumericFailure("non-finite values during evolution")
         if error(cur - prev) < STEP_HALVING_TOL:
-            return cur
+            return np.moveaxis(cur, 0, 1).reshape(*batch, grid.n_points, *block.shape)
         prev = cur
     raise NumericFailure(
         "step-halving verification did not converge below "
@@ -404,48 +439,37 @@ def _verified_propagation(
 
 def _evolve(m0, c, segments, rho0, grid: TimeGrid, dt_int: float | None) -> np.ndarray:
     """The one evolution body: checked ``rho0``, verified propagation, checked samples."""
-    d = math.isqrt(m0.shape[0])
+    d = math.isqrt(m0.shape[-1])
     rho0 = check_density_matrix(rho0, "rho0")
     if rho0.shape != (d, d):
         raise ModelError(f"rho0 dim {rho0.shape[0]} != generator dim {d}")
     traj = _verified_propagation(m0, c, segments, rho0.reshape(-1, 1), grid, dt_int)
     return check_density_matrix(
-        traj.reshape(grid.n_points, d, d), "evolved trajectory",
+        traj.reshape(*traj.shape[:-2], d, d), "evolved trajectory",
         TRAJECTORY_HERMITICITY_TOL, NumericFailure,
     )
 
 
 def evolve(
-    l: Liouvillian, rho0: np.ndarray, grid: TimeGrid, dt_int: float | None = None
+    l: np.ndarray, rho0: np.ndarray, grid: TimeGrid, dt_int: float | None = None
 ) -> np.ndarray:
-    """Evolve ``rho0`` under the generator, sampling on ``grid``.
+    """Evolve ``rho0`` under the generator, or stack of generators, ``l``.
 
-    Returns an array of shape (n_points, dim, dim).  Trace, Hermiticity
-    and positivity are checked at every sample and raise
+    Returns the samples on ``grid``, shape (..., n_points, d, d).  Trace,
+    Hermiticity and positivity are checked at every sample and raise
     :class:`NumericFailure` if violated; they are never silently fixed.
-
-    ``dt_int`` is the internal RK4 step (default: characteristic generator
-    period / 200).  The integration is repeated at half the step until
-    samples agree below ``STEP_HALVING_TOL``.
+    ``dt_int`` is the internal RK4 step (default: characteristic period of
+    the fastest generator / 200), halved until samples agree below
+    ``STEP_HALVING_TOL``.
     """
-    return _evolve(l.matrix, 0.0, [], rho0, grid, dt_int)
+    return _evolve(l, 0.0, [], rho0, grid, dt_int)
 
 
 # -- time-dependent drive ---------------------------------------------------
 
 
-def _coupling_superop(coupling, dim: int) -> np.ndarray:
-    """Superoperator of a Hermitian drive coupling of dimension ``dim``."""
-    coupling = np.asarray(coupling, dtype=complex)
-    if coupling.shape != (dim, dim):
-        raise ModelError("coupling dimension mismatch")
-    if np.max(np.abs(coupling - coupling.conj().T)) > HERMITICITY_TOL:
-        raise ModelError("coupling operator is not Hermitian")
-    return hamiltonian_superop(coupling)
-
-
 def evolve_driven(
-    l0: Liouvillian,
+    l0: np.ndarray,
     coupling: np.ndarray,
     segments: Sequence[Segment],
     rho0: np.ndarray,
@@ -454,42 +478,44 @@ def evolve_driven(
 ) -> np.ndarray:
     """Evolve under H(t) = H0 + a(t) * coupling with the static dissipator.
 
-    ``coupling`` must be Hermitian; ``segments`` lists (t0, t1, amplitude)
-    pieces of a(t) (constant float or callable), amplitude 0 outside.
-    ``dt_int`` is the internal RK4 step before step halving.  Returns
-    sampled density matrices as in :func:`evolve`.
+    The undriven generator ``l0`` and the Hermitian ``coupling`` (drive
+    strength included) may be broadcasting stacks; the batch members share
+    ``rho0``, the (t0, t1, envelope) ``segments`` of a(t) (constant float
+    or callable, 0 outside) and the internal RK4 step ``dt_int``, which is
+    the finest any member needs.  Returns (*batch, n_points, d, d) samples
+    checked as in :func:`evolve`.
     """
-    c_super = _coupling_superop(coupling, l0.dim)
-    return _evolve(l0.matrix, c_super, segments, rho0, grid, dt_int)
+    c = hamiltonian_superop(_hermitian(coupling, "coupling", math.isqrt(l0.shape[-1])))
+    return _evolve(l0, c, segments, rho0, grid, dt_int)
 
 
 def _induced_inf_norm(diff: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(diff[-1]), axis=1)))
+    return float(np.max(np.sum(np.abs(diff[-1]), axis=-1), initial=0.0))
 
 
 def propagator(
-    l0: Liouvillian,
+    l0: np.ndarray,
     coupling: np.ndarray,
     segments: Sequence[Segment],
     t_end: float,
     dt_int: float,
 ) -> np.ndarray:
-    """Verified d^2 x d^2 map of the driven evolution over [0, t_end].
+    """Verified d^2 x d^2 maps of the driven evolution over [0, t_end].
 
-    ``vec(rho(t_end)) = M @ vec(rho(0))`` for the row-major ``vec`` of
-    :class:`Liouvillian`, with the drive of :func:`evolve_driven`.  The
-    identity is propagated and refined by step halving until the induced
-    infinity norm ``max_i sum_j |dM_ij|`` of the change falls below
+    ``vec(rho(t_end)) = M @ vec(rho(0))`` for the row-major ``vec`` of the
+    generator, with the drive and batch of :func:`evolve_driven`; returns
+    shape (*batch, d^2, d^2).  The identity is propagated and refined by
+    step halving until the induced infinity norm ``max_i sum_j |dM_ij|``
+    of the change, the worst over the batch, falls below
     ``STEP_HALVING_TOL``, which bounds the change of every entry of
     ``M @ v`` for any ``v`` with entries of modulus <= 1.
     """
-    c_super = _coupling_superop(coupling, l0.dim)
-    eye = np.eye(l0.matrix.shape[0], dtype=complex)
+    c = hamiltonian_superop(_hermitian(coupling, "coupling", math.isqrt(l0.shape[-1])))
+    eye = np.eye(l0.shape[-1], dtype=complex)
     maps = _verified_propagation(
-        l0.matrix, c_super, segments, eye, TimeGrid(0.0, t_end, 2), dt_int,
-        _induced_inf_norm,
+        l0, c, segments, eye, TimeGrid(0.0, t_end, 2), dt_int, _induced_inf_norm
     )
-    return maps[-1]
+    return maps[..., -1, :, :]
 
 
 # -- steady state and correlators -------------------------------------------
@@ -555,13 +581,13 @@ def _integrated_steady_state(matrix: np.ndarray, decay_eigs: np.ndarray) -> np.n
     return rho
 
 
-def steady_state(l: Liouvillian) -> np.ndarray:
-    """Unique stationary density matrix: :func:`steady_states` with N = 1."""
-    return steady_states(l.matrix[None])[0]
+def steady_state(l: np.ndarray) -> np.ndarray:
+    """Unique stationary density matrix of one generator: :func:`steady_states`, N = 1."""
+    return steady_states(l[None])[0]
 
 
 def regression_correlator(
-    l: Liouvillian,
+    l: np.ndarray,
     rho_ss: np.ndarray,
     a: np.ndarray,
     b_left: np.ndarray,
@@ -575,16 +601,17 @@ def regression_correlator(
     ``b_left @ rho_ss @ b_right`` under the same generator, evaluated on
     ``grid``.  Returns a complex array.
     """
+    d = math.isqrt(l.shape[-1])
     for name, op in (("a", a), ("b_left", b_left), ("b_right", b_right)):
         op = np.asarray(op)
-        if op.shape != (l.dim, l.dim):
-            raise ModelError(f"operator {name} has shape {op.shape}, need {(l.dim, l.dim)}")
-    stationarity = np.linalg.norm(l.matrix @ np.asarray(rho_ss, dtype=complex).reshape(-1))
+        if op.shape != (d, d):
+            raise ModelError(f"operator {name} has shape {op.shape}, need {(d, d)}")
+    stationarity = np.linalg.norm(l @ np.asarray(rho_ss, dtype=complex).reshape(-1))
     if stationarity > 1e-8:
         raise ModelError(
             f"rho_ss is not stationary for this generator (residual {stationarity:.3e})"
         )
     s0 = np.asarray(b_left, dtype=complex) @ rho_ss @ np.asarray(b_right, dtype=complex)
-    traj = _verified_propagation(l.matrix, 0.0, [], s0.reshape(-1, 1), grid, dt_int)
+    traj = _verified_propagation(l, 0.0, [], s0.reshape(-1, 1), grid, dt_int)
     a_vec = np.asarray(a, dtype=complex).T.reshape(-1)
     return traj[..., 0] @ a_vec

@@ -44,15 +44,6 @@ class RamseySequence:
             raise ModelError(f"delay_tau must be >= 0, got {self.delay_tau}")
 
 
-def _pulse_amplitude(pulse: tls.PulseEnvelope, area: float = PULSE_AREA) -> float:
-    """Peak angular Rabi frequency giving the requested pulse area."""
-    return area / pulse.area_factor()
-
-
-def _coupling(phase: float) -> np.ndarray:
-    return 0.5 * (math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y)
-
-
 def population_table(
     params: tls.TlsParams, pulse: tls.PulseEnvelope, taus, phases, detuning: float = 0.0
 ) -> np.ndarray:
@@ -64,23 +55,26 @@ def population_table(
     and the free-evolution window.  Decay and dephasing stay on throughout.
 
     Every piece is a verified evolution: the first-pulse state once, one
-    free evolution per delay and one :func:`qdyn.propagator` map per phase
-    for the second pulse; the stack of composed final states passes
-    :func:`qdyn.check_density_matrix`.
+    free evolution per nonzero delay and one batched :func:`qdyn.propagator`
+    call for the second-pulse maps of all phases; the stack of composed
+    final states passes :func:`qdyn.check_density_matrix`.
     """
     taus = np.asarray(taus, dtype=float)
     for tau in taus:
         if tau < 0:
             raise ModelError(f"delay_tau must be >= 0, got {tau}")
-    omega = _pulse_amplitude(pulse)
+    omega = PULSE_AREA / pulse.area_factor()  # peak angular Rabi frequency
     l0 = qdyn.build_liouvillian(
         -TWO_PI * detuning * PROJ_EXCITED, tls.decay_jumps(params)
     )
     t_end = pulse.on_end()
-    segments = tls.drive_segments(pulse, omega, t_end)
+    segments = tls.envelope_segments(pulse, t_end)
     dt_pulse = tls.internal_step(params, omega)
+    # drive couplings at phase 0 (first pulse), then at each relative phase
+    ph = np.concatenate([[0.0], phases])[:, None, None]
+    couplings = 0.5 * omega * (np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y)
     first = qdyn.evolve_driven(
-        l0, _coupling(0.0), segments, RHO_GROUND, TimeGrid(0.0, t_end, 5), dt_int=dt_pulse
+        l0, couplings[0], segments, RHO_GROUND, TimeGrid(0.0, t_end, 5), dt_int=dt_pulse
     )[-1]
     free = np.array([
         qdyn.evolve(
@@ -88,11 +82,8 @@ def population_table(
         )[-1] if tau > 0 else first
         for tau in taus
     ])
-    d = l0.dim
-    maps = np.array([
-        qdyn.propagator(l0, _coupling(float(ph)), segments, t_end, dt_int=dt_pulse)
-        for ph in phases
-    ]).reshape(-1, d * d, d * d)
+    d = math.isqrt(l0.shape[-1])
+    maps = qdyn.propagator(l0, couplings[1:], segments, t_end, dt_int=dt_pulse)
     finals = (maps[None] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
     qdyn.check_density_matrix(finals, "Ramsey final state")
     return finals[:, EXCITED, EXCITED].real.reshape(taus.size, len(maps))

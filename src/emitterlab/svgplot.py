@@ -109,8 +109,9 @@ def heatmap(path, x, y, z, title="", xlabel="x", ylabel="y", comment="") -> None
     span = zhi - zlo if zhi > zlo else 1.0
     parts, sx, sy = _axes(float(x[0]), float(x[-1]), float(y[0]), float(y[-1]),
                           title, xlabel, ylabel)
-    dx = (x[-1] - x[0]) / max(len(x) - 1, 1)
-    dy = (y[-1] - y[0]) / max(len(y) - 1, 1)
+    # grid spacing; a single point or zero-width grid gets the unit span of _axes
+    dx = (x[-1] - x[0]) / (len(x) - 1) if x[-1] != x[0] else 1.0
+    dy = (y[-1] - y[0]) / (len(y) - 1) if y[-1] != y[0] else 1.0
     cells = []
     for i in range(len(y)):
         for j in range(len(x)):

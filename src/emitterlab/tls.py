@@ -160,8 +160,15 @@ def drive_hamiltonian(drive: Drive) -> np.ndarray:
     return delta * DETUNING + 0.5 * omega * SIGMA_X
 
 
-def tls_liouvillian(params: TlsParams, drive: Drive) -> qdyn.Liouvillian:
+def tls_liouvillian(params: TlsParams, drive: Drive) -> np.ndarray:
     return qdyn.build_liouvillian(drive_hamiltonian(drive), decay_jumps(params))
+
+
+def _detuned_liouvillians(params: TlsParams, rabi_ghz: float, detunings) -> np.ndarray:
+    """(N, 4, 4) generators at the detunings (GHz): affine in Delta * DETUNING."""
+    l0 = tls_liouvillian(params, Drive(rabi_ghz=rabi_ghz))
+    delta = TWO_PI * np.asarray(detunings, dtype=float)
+    return l0 + delta[:, None, None] * qdyn.hamiltonian_superop(DETUNING)
 
 
 def internal_step(params: TlsParams, omega_angular: float) -> float:
@@ -347,41 +354,36 @@ def envelope_segments(pulse: PulseEnvelope, t_end: float) -> list:
     return segs
 
 
-def drive_segments(pulse: PulseEnvelope, omega: float, t_end: float) -> list:
-    """Segments of the drive amplitude omega * envelope(t) that start before t_end."""
-    return [
-        (t0, t1, (lambda t, f=a: omega * f(t)) if callable(a) else omega * a)
-        for t0, t1, a in envelope_segments(pulse, t_end)
-        if t0 < t_end
-    ]
-
-
-def rabi_trace_numeric(
-    params: TlsParams, drive: Drive, pulse: PulseEnvelope, grid: TimeGrid
-) -> TimeTrace:
-    """Excited-state population under pulsed drive, from the ground state.
+def rabi_traces(
+    params: TlsParams, rabi_ghz: float, detunings, pulse: PulseEnvelope, grid: TimeGrid
+) -> np.ndarray:
+    """Excited-state population under pulsed drive, from the ground state, at
+    each detuning (GHz) of ``detunings``; shape (N, n_points).
 
     Lindblad evolution with Omega(t) = Omega * envelope(t); the detuning
-    stays on throughout.  The grid must start at 0 and span at least one
-    pulse period.
+    stays on throughout.  All detunings are one verified propagation at the
+    step of the largest generalized Rabi frequency.  The grid must start at
+    0 and span at least one pulse period.
     """
     if abs(grid.t_start) > 1e-12:
         raise ModelError("rabi_trace_numeric grid must start at t = 0")
     if grid.t_end - grid.t_start < pulse.period - 1e-9:
         raise ModelError("grid must span at least one pulse period")
-    omega = TWO_PI * drive.rabi_ghz
-    l0 = qdyn.build_liouvillian(
-        drive_hamiltonian(Drive(rabi_ghz=0.0, detuning_ghz=drive.detuning_ghz)),
-        decay_jumps(params),
-    )
+    fastest = max((generalized_rabi(Drive(rabi_ghz, float(d))) for d in detunings),
+                  default=rabi_ghz)
     rhos = qdyn.evolve_driven(
-        l0,
-        0.5 * SIGMA_X,
-        drive_segments(pulse, omega, grid.t_end),
-        RHO_GROUND,
-        grid,
-        dt_int=internal_step(params, TWO_PI * generalized_rabi(drive)),
+        _detuned_liouvillians(params, 0.0, detunings), 0.5 * TWO_PI * rabi_ghz * SIGMA_X,
+        envelope_segments(pulse, grid.t_end), RHO_GROUND, grid,
+        dt_int=internal_step(params, TWO_PI * fastest),
     )
+    return rhos[..., EXCITED, EXCITED].real
+
+
+def rabi_trace_numeric(
+    params: TlsParams, drive: Drive, pulse: PulseEnvelope, grid: TimeGrid
+) -> TimeTrace:
+    """:func:`rabi_traces` at the one detuning of ``drive``, as a trace."""
+    values = rabi_traces(params, drive.rabi_ghz, [drive.detuning_ghz], pulse, grid)[0]
     meta = {
         "t1_ns": params.t1,
         "t2_ns": params.t2,
@@ -392,7 +394,7 @@ def rabi_trace_numeric(
         "period_ns": pulse.period,
         "ylabel": "population",
     }
-    return TimeTrace(grid=grid, values=rhos[:, EXCITED, EXCITED].real, meta=meta)
+    return TimeTrace(grid=grid, values=values, meta=meta)
 
 
 def excitation_lineshape(
@@ -406,9 +408,7 @@ def excitation_lineshape(
     detunings = np.asarray(detuning_range, dtype=float)
     if detunings.size < 5:
         raise ModelError("detuning range needs at least 5 points")
-    l0 = tls_liouvillian(params, Drive(rabi_ghz=rabi_ghz)).matrix
-    detuning = qdyn.hamiltonian_superop(DETUNING)
-    stack = l0 + (TWO_PI * detunings)[:, None, None] * detuning
+    stack = _detuned_liouvillians(params, rabi_ghz, detunings)
     pops = qdyn.steady_states(stack)[:, EXCITED, EXCITED].real
     half = 0.5 * np.max(pops)
     if pops[0] > half or pops[-1] > half:
@@ -440,30 +440,22 @@ def pulsed_rabi_scan(
 ) -> Curve:
     """Post-pulse excited population versus sqrt(power).
 
-    One pulse per power; the population is read immediately after the
-    envelope turns off.  For pulse durations much shorter than t1 the curve
-    approaches sin^2(theta/2) with pulse area theta proportional to
+    One pulse per power, all powers in one verified propagation at the
+    step of the strongest drive; the population is read immediately after
+    the envelope turns off.  For pulse durations much shorter than t1 the
+    curve approaches sin^2(theta/2) with pulse area theta proportional to
     sqrt(P).
     """
     powers = np.asarray(power_range, dtype=float)
     t_read = pulse.on_end()
-    l0 = qdyn.build_liouvillian(np.zeros((2, 2)), decay_jumps(params))
-    grid = TimeGrid(0.0, t_read, 9)
-    pops = np.empty(powers.size)
-    for i, p in enumerate(powers):
-        omega = TWO_PI * power_to_rabi(calib, params, p)
-        if omega == 0.0:
-            pops[i] = 0.0
-            continue
-        rhos = qdyn.evolve_driven(
-            l0,
-            0.5 * SIGMA_X,
-            drive_segments(pulse, omega, t_read),
-            RHO_GROUND,
-            grid,
-            dt_int=internal_step(params, omega),
-        )
-        pops[i] = rhos[-1, EXCITED, EXCITED].real
+    omegas = np.array([TWO_PI * power_to_rabi(calib, params, p) for p in powers])
+    rhos = qdyn.evolve_driven(
+        qdyn.build_liouvillian(np.zeros((2, 2)), decay_jumps(params)),
+        0.5 * omegas[:, None, None] * SIGMA_X, envelope_segments(pulse, t_read),
+        RHO_GROUND, TimeGrid(0.0, t_read, 9),
+        dt_int=internal_step(params, float(np.max(omegas, initial=0.0))),
+    )
+    pops = rhos[:, -1, EXCITED, EXCITED].real
     meta = {
         "t1_ns": params.t1,
         "t2_ns": params.t2,

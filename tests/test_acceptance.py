@@ -236,7 +236,7 @@ def test_10_engine_properties(tmp_path):
                 l = lambda_system.lambda_liouvillian(params3, drive3)
                 rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
             rho_ss = qdyn.steady_state(l)
-            assert np.linalg.norm(l.matrix @ rho_ss.reshape(-1)) < 1e-10
+            assert np.linalg.norm(l @ rho_ss.reshape(-1)) < 1e-10
             rhos = qdyn.evolve(l, rho0, grid)
             traces = np.trace(rhos, axis1=1, axis2=2)
             assert np.max(np.abs(traces - 1.0)) < 1e-9

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -390,10 +392,58 @@ class TestErrorPaths:
         if code == 2:
             assert f"'{key}'" in err
 
+    @pytest.mark.parametrize("key", ["n_c", "n_d"])
+    def test_single_row_or_column_heatmap_has_no_empty_cell(self, tmp_path, key):
+        cfg = write_cfg(tmp_path, f"experiment = autler_map\n{key} = 1\n")
+        assert cli.run(config_path=cfg, outdir=tmp_path / "out", plot=True) == 0
+        svg = (tmp_path / "out" / "autler_map.svg").read_text()
+        cells = re.findall(r'width="([0-9.]+)" height="([0-9.]+)" fill="rgb', svg)
+        assert len(cells) == 61
+        assert all(float(w) > 0 and float(h) > 0 for w, h in cells)
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        experiment = cli.EXPERIMENTS["mollow_spectrum"]
+        monkeypatch.setitem(cli.EXPERIMENTS, "mollow_spectrum",
+                            type(experiment)(experiment.schema, exhausted))
+        assert cli.run(experiment="mollow_spectrum", outdir=tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "envout"))
         assert cli.run(experiment="lifetime") == 0
         assert (tmp_path / "envout" / "lifetime.csv").exists()
+
+
+class TestScanEngineCalls:
+    """A driven scan is one verified propagation, not one per point."""
+
+    @pytest.mark.parametrize("experiment,overrides,most", [
+        ("pulsed_rabi", {}, 1),
+        ("detuning_map", {}, 1),
+        ("ramsey", {"scan": "fringe"}, 3),
+        # one free evolution per nonzero delay: each delay has its own grid
+        ("ramsey", {}, 14),
+    ])
+    def test_verified_propagations_per_run(self, monkeypatch, experiment, overrides, most):
+        from emitterlab import qdyn
+        from emitterlab.experiments import validate_config
+
+        calls = []
+        original = qdyn._verified_propagation
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qdyn, "_verified_propagation", counted)
+        cfg = validate_config(experiment, {k: str(v) for k, v in overrides.items()})
+        cli.EXPERIMENTS[experiment].compute(cfg)
+        assert 1 <= len(calls) <= most
 
 
 class TestReproduceAll:

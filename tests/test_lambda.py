@@ -18,10 +18,18 @@ class TestLambdaLiouvillian:
         assert np.max(np.abs(rho - np.diag([1.0, 0.0, 0.0]))) < 1e-10
 
     def test_hamiltonian_is_hermitian(self):
+        # -i[H, rho] and the dissipator keep a Hermitian rho's d(rho)/dt
+        # Hermitian only when H is Hermitian
         l = lam.lambda_liouvillian(
-            lam.LambdaParams(), lam.LambdaDrive(0.4, 0.2, 0.1, -0.3)
+            lam.LambdaParams(gamma_phi_e=0.1, gamma_phi_g=0.05),
+            lam.LambdaDrive(0.4, 0.2, 0.1, -0.3),
         )
-        assert np.max(np.abs(l.hamiltonian - l.hamiltonian.conj().T)) < 1e-12
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        drho = (l @ rho.reshape(-1)).reshape(3, 3)
+        assert np.max(np.abs(drho)) > 0.1
+        assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
 
     def test_dark_state_dip_at_two_photon_resonance(self):
         # with gamma_phi_g = 0 the fluorescence has a local minimum where

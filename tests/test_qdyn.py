@@ -21,8 +21,8 @@ def fixed_step_evolve(l, rho0, grid, dt_int):
     """The raw fixed-step integrator: one pass of the kernel, no step halving."""
     runs = qdyn._schedule(grid, [], dt_int)
     v0 = rho0.reshape(-1, 1).astype(complex)
-    traj = qdyn._propagate(l.matrix, 0.0, runs, v0, grid.n_points, 1)
-    return traj.reshape(grid.n_points, l.dim, l.dim)
+    traj = qdyn._propagate(l[None], 0.0, runs, v0, grid.n_points, 1)
+    return traj.reshape(grid.n_points, *rho0.shape)
 
 
 class TestCheckDensityMatrix:
@@ -48,7 +48,7 @@ class TestBuildLiouvillian:
     def test_zero_generator_maps_to_zero(self):
         l = qdyn.build_liouvillian(np.zeros((2, 2)), [])
         rho = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
-        assert np.max(np.abs(l.matrix @ rho.reshape(-1))) == 0.0
+        assert np.max(np.abs(l @ rho.reshape(-1))) == 0.0
 
     def test_coherence_decay_rate_is_half_gamma(self, decay_liouvillian):
         # d(rho_ge)/dt = -rho_ge / (2 T1) for pure radiative decay
@@ -95,9 +95,9 @@ class TestEvolve:
             qdyn.evolve(decay_liouvillian, 2.0 * RHO_E, TimeGrid(0.0, 1.0, 2))
 
     def test_driven_rho0_dimension_mismatch_rejected(self):
-        l0, segments, dt_int = _driven_case("square")
+        l0, segments, dt_int, omega = _driven_case("square")
         with pytest.raises(ModelError, match="dim"):
-            qdyn.evolve_driven(l0, 0.5 * tls.SIGMA_X, segments, np.eye(3) / 3,
+            qdyn.evolve_driven(l0, 0.5 * omega * tls.SIGMA_X, segments, np.eye(3) / 3,
                                GRID_20, dt_int=dt_int)
 
     def test_trajectory_invariants(self):
@@ -128,7 +128,7 @@ class TestEvolve:
         l = drive_liouvillian(1.85, 1.62, 1.304)
         grid = TimeGrid(0.0, 12.0, 1201)
         v = RHO_G.reshape(-1)
-        step = np.linalg.matrix_power(qdyn._rk4_propagator(l.matrix, grid.dt / 4), 4)
+        step = np.linalg.matrix_power(qdyn._rk4_propagator(l, grid.dt / 4), 4)
         expected = [v]
         for _ in range(grid.n_points - 1):
             v = step @ v
@@ -137,9 +137,8 @@ class TestEvolve:
         assert np.max(np.abs(rhos.reshape(grid.n_points, -1) - expected)) < 1e-12
 
 
-def _reference_evolve_driven(l0, coupling, segments, rho0, grid, dt_int):
+def _reference_evolve_driven(m0, coupling, segments, rho0, grid, dt_int):
     """Per-step RK4 loop over the split pieces, with step halving."""
-    m0 = l0.matrix
     c = qdyn.hamiltonian_superop(coupling)
     samples = np.round(grid.times(), 15)
     pts = set(samples.tolist())
@@ -185,7 +184,7 @@ def _reference_evolve_driven(l0, coupling, segments, rho0, grid, dt_int):
     for refinement in range(1, qdyn._MAX_STEP_REFINEMENTS + 1):
         cur = run(2**refinement)
         if np.max(np.abs(cur - prev)) < qdyn.STEP_HALVING_TOL:
-            return cur.reshape(grid.n_points, l0.dim, l0.dim)
+            return cur.reshape(grid.n_points, *rho0.shape)
         prev = cur
     raise AssertionError("reference did not converge")
 
@@ -205,26 +204,26 @@ def _driven_case(shape):
     drive = tls.Drive(rabi_ghz=0.906, detuning_ghz=0.3)
     l0 = tls.tls_liouvillian(params, tls.Drive(0.0, drive.detuning_ghz))
     omega = tls.TWO_PI * drive.rabi_ghz
-    segments = tls.drive_segments(PULSES[shape], omega, GRID_20.t_end)
-    return l0, segments, tls.internal_step(params, omega)
+    segments = tls.envelope_segments(PULSES[shape], GRID_20.t_end)
+    return l0, segments, tls.internal_step(params, omega), omega
 
 
 class TestDrivenKernel:
     @pytest.mark.parametrize("shape", sorted(PULSES))
     def test_matches_per_step_loop(self, shape):
-        l0, segments, dt_int = _driven_case(shape)
-        coupling = 0.5 * tls.SIGMA_X
+        l0, segments, dt_int, omega = _driven_case(shape)
+        coupling = 0.5 * omega * tls.SIGMA_X
         expected = _reference_evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int)
         rhos = qdyn.evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int=dt_int)
         assert np.max(np.abs(rhos - expected)) < 1e-12
 
     @pytest.mark.parametrize("shape", sorted(PULSES))
     def test_propagator_matches_evolve_driven(self, shape):
-        l0, segments, dt_int = _driven_case(shape)
+        l0, segments, dt_int, omega = _driven_case(shape)
         # a step fine enough that both step-halving checks accept the same
         # refinement: the map's norm sums |dM| over a row of four entries
         dt_int /= 2
-        coupling = 0.5 * tls.SIGMA_Y
+        coupling = 0.5 * omega * tls.SIGMA_Y
         rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
         grid = TimeGrid(0.0, GRID_20.t_end, 2)
         last = qdyn.evolve_driven(l0, coupling, segments, rho0, grid, dt_int=dt_int)[-1]
@@ -233,28 +232,56 @@ class TestDrivenKernel:
         assert np.max(np.abs(m @ rho0.reshape(-1) - last.reshape(-1))) < 1e-12
 
     def test_gaussian_trace_memory_bounded(self):
-        # Shaped runs build their step maps in fixed-size blocks.  The
-        # per-step loop engine peaked at 3.37 MB (tracemalloc) on this call.
+        # Shaped runs build their step maps in fixed-size blocks, counted
+        # over batch members too.  The per-step loop engine peaked at
+        # 3.37 MB (tracemalloc) on the long trace.
         params = tls.TlsParams(1.85, 1.62)
         pulse = tls.PulseEnvelope("gaussian", 5.0, 15.0)
         tls.rabi_trace_numeric(params, tls.Drive(0.906), pulse, TimeGrid(0.0, 15.0, 11))
+        short = tls.PulseEnvelope("gaussian", 0.2, 12.5)
+        # the default scan: 70 powers, pulse areas up to 4.2 pi
+        powers = np.linspace(0.0, (4.2 * np.pi / short.area_factor())**2 * 1.85 * 1.62 * 20, 70)
         tracemalloc.start()
         try:
             tls.rabi_trace_numeric(
                 params, tls.Drive(0.906), pulse, TimeGrid(0.0, 150.0, 15001)
             )
-            peak = tracemalloc.get_traced_memory()[1]
+            trace_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tls.pulsed_rabi_scan(params, short, powers, tls.PowerCalib(20.0))
+            scan_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 3.37e6
+        assert trace_peak <= 2 * 3.37e6
+        assert scan_peak <= 2 * 3.37e6
+
+    @pytest.mark.parametrize("shape", sorted(PULSES))
+    def test_batched_members_match_reference(self, shape):
+        # members differ in detuning and in drive strength; the batch runs
+        # at the finest member's step and refines on the worst member
+        params = tls.TlsParams(1.85, 1.62)
+        drives = [tls.Drive(0.906, 0.3), tls.Drive(0.5, -0.6), tls.Drive(1.2, 0.0)]
+        l0 = np.array([tls.tls_liouvillian(params, tls.Drive(0.0, d.detuning_ghz))
+                       for d in drives])
+        couplings = np.array([0.5 * tls.TWO_PI * d.rabi_ghz * tls.SIGMA_X for d in drives])
+        dt_int = min(tls.internal_step(params, tls.TWO_PI * tls.generalized_rabi(d))
+                     for d in drives)
+        segments = tls.envelope_segments(PULSES[shape], GRID_20.t_end)
+        rhos = qdyn.evolve_driven(l0, couplings, segments, RHO_G, GRID_20, dt_int=dt_int)
+        assert rhos.shape == (3, GRID_20.n_points, 2, 2)
+        for m0, coupling, member in zip(l0, couplings, rhos):
+            expected = _reference_evolve_driven(m0, coupling, segments, RHO_G, GRID_20,
+                                                dt_int)
+            assert np.max(np.abs(member - expected)) < qdyn.STEP_HALVING_TOL
 
     def test_misaligned_samples_rejected(self):
         from emitterlab.errors import NumericFailure
 
-        l0, segments, dt_int = _driven_case("square")
+        l0, segments, dt_int, omega = _driven_case("square")
         grid = TimeGrid(0.0, 1e-14, 3)  # samples collapse when rounded
         with pytest.raises(NumericFailure, match="misalignment"):
-            qdyn.evolve_driven(l0, 0.5 * tls.SIGMA_X, segments, RHO_G, grid, dt_int=dt_int)
+            qdyn.evolve_driven(l0, 0.5 * omega * tls.SIGMA_X, segments, RHO_G, grid,
+                               dt_int=dt_int)
 
 
 class TestSteadyState:
@@ -279,7 +306,7 @@ class TestSteadyState:
     def test_residual_below_tolerance(self):
         l = drive_liouvillian(1.85, 1.62, 0.5)
         rho = qdyn.steady_state(l)
-        assert np.linalg.norm(l.matrix @ rho.reshape(-1)) < 1e-10
+        assert np.linalg.norm(l @ rho.reshape(-1)) < 1e-10
 
     def test_degenerate_subspace_rejected(self):
         # no jumps: every diagonal state is stationary
@@ -292,14 +319,14 @@ class TestSteadyState:
         degenerate = qdyn.build_liouvillian(np.diag([0.0, 1.0]), [])
         with pytest.raises(ModelError) as single:
             qdyn.steady_state(degenerate)
-        stack = np.array([good.matrix, degenerate.matrix, good.matrix])
+        stack = np.array([good, degenerate, good])
         with pytest.raises(ModelError) as stacked:
             qdyn.steady_states(stack)
         assert str(stacked.value) == str(single.value)
 
     def test_stack_equals_single_solves(self):
         ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 0.9)]
-        rhos = qdyn.steady_states(np.array([l.matrix for l in ls]))
+        rhos = qdyn.steady_states(np.array(ls))
         for l, rho in zip(ls, rhos):
             assert np.array_equal(rho, qdyn.steady_state(l))
 
@@ -311,9 +338,9 @@ class TestSteadyState:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        rhos = qdyn.steady_states(np.array([l.matrix for l in ls]))
+        rhos = qdyn.steady_states(np.array(ls))
         for l, rho, expected in zip(ls, rhos, direct):
-            assert np.linalg.norm(l.matrix @ rho.reshape(-1)) < 1e-10
+            assert np.linalg.norm(l @ rho.reshape(-1)) < 1e-10
             assert np.max(np.abs(rho - expected)) < 1e-8
 
     def test_fixed_point_stays_fixed(self):

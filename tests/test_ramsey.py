@@ -92,10 +92,10 @@ def _chained_population(params, pulse, tau, phase, detuning):
         -tls.TWO_PI * detuning * tls.PROJ_EXCITED, tls.decay_jumps(params)
     )
     t_end = pulse.on_end()
-    segments = tls.drive_segments(pulse, omega, t_end)
+    segments = tls.envelope_segments(pulse, t_end)
 
     def run_pulse(ph, rho):
-        coupling = 0.5 * (math.cos(ph) * tls.SIGMA_X + math.sin(ph) * tls.SIGMA_Y)
+        coupling = 0.5 * omega * (math.cos(ph) * tls.SIGMA_X + math.sin(ph) * tls.SIGMA_Y)
         return qdyn.evolve_driven(l0, coupling, segments, rho, TimeGrid(0.0, t_end, 5),
                                   dt_int=tls.internal_step(params, omega))[-1]
 

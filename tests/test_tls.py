@@ -225,11 +225,14 @@ class TestPowerCalibration:
 
 class TestPulsedRabiScan:
     def test_zero_power_zero_population(self, emitter_params):
-        curve = tls.pulsed_rabi_scan(
-            emitter_params, tls.PulseEnvelope("square", 0.2, 12.5), [0.0],
-            tls.PowerCalib(20.0),
-        )
-        assert curve.y[0] == 0.0
+        # alone, and as one member of a batched scan at the finest step
+        for shape in ("square", "gaussian"):
+            pulse = tls.PulseEnvelope(shape, 0.2, 12.5)
+            for powers in ([0.0], [0.0, 5000.0, 15000.0]):
+                curve = tls.pulsed_rabi_scan(emitter_params, pulse, powers,
+                                             tls.PowerCalib(20.0))
+                assert curve.y[0] == 0.0
+                assert np.all(curve.y[1:] > 0.1)
 
     def test_pi_pulse_reaches_near_unity(self, radiative_params):
         # decay during a 200 ps pulse costs at most ~5% of the flip
