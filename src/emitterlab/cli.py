@@ -73,41 +73,26 @@ def _meta(experiment: str, cfg: dict, **extra) -> dict:
     return meta
 
 
-def _write_fit_report(path, result: fitkit.FitResult, meta: dict) -> None:
-    meta = dict(meta)
-    meta.update(
-        converged=result.converged,
-        n_iter=result.n_iter,
-        chi2_reduced=csvio.format_number(result.chi2_reduced),
-        fit_message=result.message,
-    )
-    for key, value in result.extra.items():
-        meta[f"fit_{key}"] = value
-    rows = [
-        (name, result.params[name], result.stderr.get(name, math.nan))
-        for name in result.params
-    ]
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append("parameter,value,stderr")
-    for name, value, err in rows:
-        lines.append(f"{name},{csvio.format_number(value)},{csvio.format_number(err)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _emit(experiment: str, cfg: dict, result: Result, outdir: Path, plot: bool):
     """Write the tables, the fit report and, with ``plot``, the SVG of a run."""
     meta = _meta(experiment, cfg, **result.meta)
     for name, header, rows in result.tables:
         csvio.write_csv(outdir / name, header, rows, meta)
     if result.fit is not None:
-        _write_fit_report(outdir / result.fit[0], result.fit[1], meta)
+        name, fit = result.fit
+        fit_meta = dict(meta, converged=fit.converged, n_iter=fit.n_iter,
+                        chi2_reduced=csvio.format_number(fit.chi2_reduced),
+                        fit_message=fit.message)
+        fit_meta.update((f"fit_{key}", value) for key, value in fit.extra.items())
+        rows = [(p, v, fit.stderr.get(p, math.nan)) for p, v in fit.params.items()]
+        csvio.write_csv(outdir / name, ["parameter", "value", "stderr"], rows, fit_meta)
     if plot and result.plot is not None:
         spec = result.plot
         path = outdir / Path(result.tables[0][0]).with_suffix(".svg")
         labels = {"title": spec.title, "xlabel": spec.xlabel, "ylabel": spec.ylabel,
                   "comment": f"config_hash={meta['config_hash']}"}
         if spec.z is None:
-            svgplot.line_plot(path, spec.x, [spec.y], **labels)
+            svgplot.line_plot(path, spec.x, spec.y, **labels)
         else:
             svgplot.heatmap(path, spec.x, spec.y, spec.z, **labels)
 
@@ -237,10 +222,7 @@ def _valley_on_diagonal(data):
 
 def _oscillations(data):
     y = data["curve"].y
-    n_max = len([
-        i for i in range(1, y.size - 1)
-        if y[i] > y[i - 1] and y[i] > y[i + 1] and y[i] > 0.3
-    ])
+    n_max = len([i for i in peaks.local_maxima(y) if y[i] > 0.3])
     return n_max >= 2, n_max
 
 

@@ -1,35 +1,45 @@
 """CSV documents with '#'-prefixed metadata, lossless at 17 significant digits.
 
 Layout: metadata lines ``# key=value``, one header row of column names,
-then numeric rows.  Matrices are stored long-form as
+then one row per record.  Matrices are stored long-form as
 (row_value, col_value, cell_value) triples.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError
 
+_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
+
 
 def format_number(x) -> str:
-    if isinstance(x, str):
-        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
 def write_csv(path, header, rows, meta: dict | None = None) -> None:
-    """Write a CSV document; ``rows`` is an iterable of value tuples."""
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
+    """Write a CSV document; ``rows`` is a 2-D array or an iterable of value tuples.
+
+    Each column is formatted by its numpy kind (floats as ``%.17g`` like
+    :func:`format_number`), the whole body by one ``%`` on a row template.
+    """
+    if isinstance(rows, np.ndarray):
+        columns = list(rows.T)
+    else:
+        columns = [np.asarray(column) for column in zip(*rows)]
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
+    n_rows = len(columns[0]) if columns else 0
+    if n_rows:
+        template = ",".join(_FORMATS[column.dtype.kind] for column in columns)
+        values = chain.from_iterable(zip(*(column.tolist() for column in columns)))
+        lines.append("\n".join([template] * n_rows) % tuple(values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -67,11 +77,10 @@ def read_csv(path):
     return meta, header, np.array(data, dtype=float)
 
 
-def matrix_rows(row_values, col_values, matrix):
-    """Long-form (row_value, col_value, cell) triples, row-major order."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (len(row_values), len(col_values)):
+def long_form(row_values, col_values, matrix) -> np.ndarray:
+    """A matrix as (row_value, col_value, cell) rows of one array, row-major order."""
+    n, m = len(row_values), len(col_values)
+    if np.shape(matrix) != (n, m):
         raise ModelError("matrix shape does not match axis lengths")
-    for i, rv in enumerate(row_values):
-        for j, cv in enumerate(col_values):
-            yield (rv, cv, matrix[i, j])
+    return np.column_stack([np.repeat(row_values, m), np.tile(col_values, n),
+                            np.ravel(matrix)])

@@ -302,7 +302,7 @@ def _detuning_map(cfg):
         {"peaks": peak_rows},
         tables=[
             ("detuning_map.csv", ["detuning_ghz", "t_ns", "population"],
-             csvio.matrix_rows(detunings, times, traces)),
+             csvio.long_form(detunings, times, traces)),
             ("detuning_fft_peaks.csv", ["detuning_ghz", "peak_ghz", "bin_ghz"], peak_rows),
         ],
         plot=Plot(times, detunings, "detuning map", "t (ns)", "detuning (GHz)",
@@ -435,7 +435,7 @@ def _autler_map(cfg):
         f"Omega_C/2pi={omega_c:.4f} GHz",
         {"dcs": dcs, "dds": dds, "fluor": fluor},
         tables=[("autler_map.csv", ["delta_c_ghz", "delta_d_ghz", "fluorescence"],
-                 csvio.matrix_rows(dcs, dds, fluor))],
+                 csvio.long_form(dcs, dds, fluor))],
         plot=Plot(dds, dcs, "Autler-Townes map", "delta_D (GHz)", "delta_C (GHz)",
                   z=fluor),
         meta=_omegas_used(omega_c, omega_d),

@@ -11,12 +11,8 @@ def local_maxima(y: np.ndarray, min_fraction: float = 0.0) -> list:
     if y.size < 3:
         return []
     floor = min_fraction * np.max(y)
-    idx = [
-        i
-        for i in range(1, y.size - 1)
-        if y[i] > y[i - 1] and y[i] > y[i + 1] and y[i] > floor
-    ]
-    return idx
+    mid = y[1:-1]
+    return (np.flatnonzero((mid > y[:-2]) & (mid > y[2:]) & (mid > floor)) + 1).tolist()
 
 
 def parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple:

@@ -133,10 +133,8 @@ def fft_peaks(trace: TimeTrace, window: str = "hann", n_peaks: int = 3):
     )
     if np.max(mag) <= 0.0:
         return spectrum, []
-    found = []
-    for i in peaks.local_maxima(mag, min_fraction=0.05):
-        f, m = peaks.parabolic_refine(freqs, mag, i)
-        found.append((f, m))
+    found = [peaks.parabolic_refine(freqs, mag, i)
+             for i in peaks.local_maxima(mag, min_fraction=0.05)]
     found.sort(key=lambda fm: (-fm[1], fm[0]))
     return spectrum, found[:n_peaks]
 

@@ -1,18 +1,22 @@
 """Minimal built-in SVG line and heatmap writer.
 
 Plots are a viewing convenience, never an analysis surface; no external
-renderer is used.
+renderer is used.  A heatmap embeds its grid as one PNG raster with one
+pixel per grid cell, written with uncompressed (stored) zlib blocks so its
+bytes do not depend on the zlib build.
 """
 
 from __future__ import annotations
 
+import base64
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 36, 50
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
@@ -76,32 +80,47 @@ def _document(parts, comment="") -> str:
     )
 
 
-def line_plot(path, x, ys, labels=(), title="", xlabel="x", ylabel="y",
-              comment="") -> None:
-    """Write a polyline plot of one or more series sharing the x axis."""
+def line_plot(path, x, y, title="", xlabel="x", ylabel="y", comment="") -> None:
+    """Write a polyline plot of y over x."""
     x = np.asarray(x, dtype=float)
-    series = [np.asarray(y, dtype=float) for y in ys]
-    ylo = min(float(np.min(y)) for y in series)
-    yhi = max(float(np.max(y)) for y in series)
+    y = np.asarray(y, dtype=float)
+    ylo, yhi = float(np.min(y)), float(np.max(y))
     pad = 0.05 * (yhi - ylo)
     parts, sx, sy = _axes(float(x[0]), float(x[-1]), ylo - pad, yhi + pad,
                           title, xlabel, ylabel)
-    for k, y in enumerate(series):
-        pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y))
-        color = _COLORS[k % len(_COLORS)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        if k < len(labels):
-            parts.append(
-                f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 14 * k}" text-anchor="end" '
-                f'font-size="11" fill="{color}">{labels[k]}</text>'
-            )
+    pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y))
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
+    )
     Path(path).write_text(_document(parts, comment), encoding="utf-8")
 
 
+def _png(rgb: np.ndarray) -> bytes:
+    """An 8-bit RGB PNG of an (h, w, 3) uint8 array.
+
+    The zlib stream's stored blocks are cut here: ``zlib.compress`` at level 0
+    cuts them by buffer sizes that vary with the zlib build.
+    """
+    h, w, _ = rgb.shape
+    # each scanline starts with filter byte 0 (none)
+    raw = np.hstack([np.zeros((h, 1), np.uint8), rgb.reshape(h, 3 * w)]).tobytes()
+    blocks = [raw[i:i + 0xFFFF] for i in range(0, len(raw), 0xFFFF)]
+    stream = b"\x78\x01" + b"".join(
+        struct.pack("<BHH", k == len(blocks) - 1, len(b), len(b) ^ 0xFFFF) + b
+        for k, b in enumerate(blocks)
+    ) + struct.pack(">I", zlib.adler32(raw))
+
+    def chunk(kind: bytes, data: bytes) -> bytes:
+        crc = zlib.crc32(kind + data)
+        return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", crc)
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", stream) + chunk(b"IEND", b""))
+
+
 def heatmap(path, x, y, z, title="", xlabel="x", ylabel="y", comment="") -> None:
-    """Write a grayscale-to-viridis-ish heatmap of z[i, j] over (y[i], x[j])."""
+    """Write a black-red-yellow-white heatmap of z[i, j] over (y[i], x[j])."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -112,19 +131,15 @@ def heatmap(path, x, y, z, title="", xlabel="x", ylabel="y", comment="") -> None
     # grid spacing; a single point or zero-width grid gets the unit span of _axes
     dx = (x[-1] - x[0]) / (len(x) - 1) if x[-1] != x[0] else 1.0
     dy = (y[-1] - y[0]) / (len(y) - 1) if y[-1] != y[0] else 1.0
-    cells = []
-    for i in range(len(y)):
-        for j in range(len(x)):
-            v = (z[i, j] - zlo) / span
-            r = int(255 * min(1.0, 3.0 * v))
-            g = int(255 * min(1.0, max(0.0, 3.0 * v - 1.0)))
-            b = int(255 * min(1.0, max(0.0, 3.0 * v - 2.0)))
-            x0 = sx(x[j] - 0.5 * dx)
-            y0 = sy(y[i] + 0.5 * dy)
-            cells.append(
-                f'<rect x="{x0:.1f}" y="{y0:.1f}" '
-                f'width="{abs(sx(dx) - sx(0)):.2f}" height="{abs(sy(0) - sy(dy)):.2f}" '
-                f'fill="rgb({r},{g},{b})"/>'
-            )
-    parts = cells + parts
-    Path(path).write_text(_document(parts, comment), encoding="utf-8")
+    # channel k = floor(255 clip(3v - k, 0, 1)); PNG rows run down, y runs up
+    v = (z[::-1, :, None] - zlo) / span
+    rgb = np.floor(255 * np.clip(3.0 * v - np.arange(3.0), 0.0, 1.0)).astype(np.uint8)
+    x0, x1 = sx(x[0] - 0.5 * dx), sx(x[-1] + 0.5 * dx)
+    y0, y1 = sy(y[-1] + 0.5 * dy), sy(y[0] - 0.5 * dy)
+    png = base64.b64encode(_png(rgb)).decode("ascii")
+    image = (
+        f'<image x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+        f'height="{y1 - y0:.2f}" preserveAspectRatio="none" '
+        f'image-rendering="pixelated" href="data:image/png;base64,{png}"/>'
+    )
+    Path(path).write_text(_document([image] + parts, comment), encoding="utf-8")

@@ -1,15 +1,48 @@
-import re
+import base64
+import math
+import struct
+import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
 
-from emitterlab import cli, csvio
+from emitterlab import cli, csvio, svgplot
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _svg_image(svg: str) -> dict:
+    """Attributes of the one ``<image>`` element of an SVG document."""
+    images = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}image")
+    assert len(images) == 1
+    return images[0].attrib
+
+
+def _png_pixels(href: str) -> np.ndarray:
+    """Decode an 8-bit RGB PNG data URI into an (h, w, 3) array, checking every chunk."""
+    prefix = "data:image/png;base64,"
+    assert href.startswith(prefix)
+    png = base64.b64decode(href[len(prefix):])
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos:pos + 4])
+        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
+        (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
+        assert crc == zlib.crc32(kind + data)
+        chunks.append((kind, data))
+        pos += 12 + length
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, depth, colour, *_ = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (depth, colour) == (8, 2)
+    rows = np.frombuffer(zlib.decompress(chunks[1][1]), np.uint8).reshape(height, -1)
+    assert np.all(rows[:, 0] == 0)  # filter type none on every scanline
+    return rows[:, 1:].reshape(height, width, 3)
 
 
 class TestConfigParsing:
@@ -396,10 +429,10 @@ class TestErrorPaths:
     def test_single_row_or_column_heatmap_has_no_empty_cell(self, tmp_path, key):
         cfg = write_cfg(tmp_path, f"experiment = autler_map\n{key} = 1\n")
         assert cli.run(config_path=cfg, outdir=tmp_path / "out", plot=True) == 0
-        svg = (tmp_path / "out" / "autler_map.svg").read_text()
-        cells = re.findall(r'width="([0-9.]+)" height="([0-9.]+)" fill="rgb', svg)
-        assert len(cells) == 61
-        assert all(float(w) > 0 and float(h) > 0 for w, h in cells)
+        image = _svg_image((tmp_path / "out" / "autler_map.svg").read_text())
+        height, width, _ = _png_pixels(image["href"]).shape
+        assert (width, height) == ((61, 1) if key == "n_c" else (1, 61))
+        assert float(image["width"]) > 0 and float(image["height"]) > 0
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
@@ -465,3 +498,143 @@ class TestCsvRoundTrip:
         meta, header, data = csvio.read_csv(path)
         assert meta["k"] == "v"
         assert np.array_equal(data[:, 0], values)
+
+
+def _reference_heatmap_pixels(z) -> np.ndarray:
+    """The per-cell colour map of the former one-rect-per-cell heatmap (row i of z)."""
+    zlo, zhi = float(np.min(z)), float(np.max(z))
+    span = zhi - zlo if zhi > zlo else 1.0
+    out = np.zeros(z.shape + (3,), np.uint8)
+    for i in range(z.shape[0]):
+        for j in range(z.shape[1]):
+            v = (z[i, j] - zlo) / span
+            r = int(255 * min(1.0, 3.0 * v))
+            g = int(255 * min(1.0, max(0.0, 3.0 * v - 1.0)))
+            b = int(255 * min(1.0, max(0.0, 3.0 * v - 2.0)))
+            out[i, j] = (r, g, b)
+    return out
+
+
+class TestHeatmapRaster:
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 9), (9, 1), (1, 1), (3, 300)])
+    def test_pixels_match_per_cell_colour_map(self, tmp_path, shape):
+        z = np.random.default_rng(7).normal(size=shape)
+        x = np.linspace(-1.0, 2.0, shape[1])
+        y = np.linspace(0.5, 3.0, shape[0])
+        svgplot.heatmap(tmp_path / "h.svg", x, y, z)
+        pixels = _png_pixels(_svg_image((tmp_path / "h.svg").read_text())["href"])
+        # PNG rows run top-down and y runs upward: the last row of z is on top
+        assert np.array_equal(pixels, _reference_heatmap_pixels(z)[::-1])
+
+    def test_rows_follow_y_upward(self, tmp_path):
+        z = np.arange(4.0)[:, None] * np.ones(6)  # brightest at the largest y
+        svgplot.heatmap(tmp_path / "h.svg", np.arange(6.0), np.arange(4.0), z)
+        pixels = _png_pixels(_svg_image((tmp_path / "h.svg").read_text())["href"])
+        assert np.all(pixels[0] == 255) and np.all(pixels[-1] == 0)
+
+    def test_image_covers_the_cells(self, tmp_path):
+        # cell centres sit on the axis ends, so the raster overhangs by half a cell
+        svgplot.heatmap(tmp_path / "h.svg", np.linspace(0.0, 1.0, 11),
+                        np.linspace(0.0, 2.0, 5), np.zeros((5, 11)))
+        image = _svg_image((tmp_path / "h.svg").read_text())
+        pw = svgplot._W - svgplot._ML - svgplot._MR
+        ph = svgplot._H - svgplot._MT - svgplot._MB
+        assert float(image["x"]) == pytest.approx(svgplot._ML - pw / 20, abs=0.01)
+        assert float(image["width"]) == pytest.approx(1.1 * pw, abs=0.01)
+        assert float(image["y"]) == pytest.approx(svgplot._MT - ph / 8, abs=0.01)
+        assert float(image["height"]) == pytest.approx(1.25 * ph, abs=0.01)
+        assert image["preserveAspectRatio"] == "none"
+
+
+def _reference_format(x) -> str:
+    """The former per-value formatter of the CSV writer."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _reference_csv(header, rows, meta) -> str:
+    """The former writer: one formatter call per value."""
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(_reference_format(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_fit_report(fit, meta) -> str:
+    """The former hand-built fit report writer."""
+    meta = dict(meta)
+    meta.update(converged=fit.converged, n_iter=fit.n_iter,
+                chi2_reduced=_reference_format(fit.chi2_reduced),
+                fit_message=fit.message)
+    for key, value in fit.extra.items():
+        meta[f"fit_{key}"] = value
+    lines = [f"# {k}={v}" for k, v in meta.items()]
+    lines.append("parameter,value,stderr")
+    for name, value in fit.params.items():
+        err = fit.stderr.get(name, math.nan)
+        lines.append(f"{name},{_reference_format(value)},{_reference_format(err)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    """``write_csv`` writes the bytes of the former one-call-per-value writer."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 1e16,
+               1e17, 123456789012345678.0]
+
+    def check(self, tmp_path, header, rows, meta=None):
+        meta = {"k": "v", "n": 3} if meta is None else meta
+        csvio.write_csv(tmp_path / "t.csv", header, rows, meta)
+        written = (tmp_path / "t.csv").read_text(encoding="utf-8")
+        assert written == _reference_csv(header, rows, meta)
+
+    def test_floats(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-320, 308, 3000)
+        values = np.concatenate([self.SPECIAL, values[: 3000 - len(self.SPECIAL)]])
+        table = values.reshape(-1, 3)
+        self.check(tmp_path, ["a", "b", "c"], table)
+        self.check(tmp_path, ["a", "b", "c"], [tuple(row) for row in table.tolist()])
+        self.check(tmp_path, ["a", "b", "c"], list(zip(*table.T)))
+
+    def test_integers(self, tmp_path):
+        rows = [(i, np.int64(-i * 10**17), np.uint8(i), i == 2, 0.5 * i)
+                for i in range(5)]
+        self.check(tmp_path, ["int", "int64", "uint8", "bool", "float"], rows)
+        self.check(tmp_path, ["a", "b", "c"], np.arange(12).reshape(4, 3) * 10**17)
+
+    def test_string_columns(self, tmp_path):
+        rows = [
+            ("mu_mode oracle selects 'minus' (rms 1.2e-16 vs 3.4e-01)", math.nan,
+             math.nan, math.nan, "PASS"),
+            ("lifetime 1.85 ns", np.float64(1.8500000000000001), 1.85, 0.0185, "PASS"),
+            ("Mollow sidebands at +/- Omega", 2.0000001, 2.0, 0.04, "FAIL"),
+        ]
+        self.check(tmp_path, ["check", "value", "expected", "tolerance", "status"],
+                   rows, {"artifact_version": "0.1.0", "n_checks": 3})
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["tuples", "array"])
+    def test_empty_table(self, tmp_path, rows):
+        self.check(tmp_path, ["a", "b", "c"], rows)
+        assert (tmp_path / "t.csv").read_text().endswith("\na,b,c\n")
+
+    def test_degenerate_detuning_map(self, tmp_path):
+        cfg = cli.validate_config("detuning_map", {"n_detunings": "1", "n_points": "257",
+                                                   "t_max_ns": "5", "pulse_ns": "4",
+                                                   "period_ns": "5"})
+        result = cli.EXPERIMENTS["detuning_map"].compute(cfg)
+        for _, header, rows in result.tables:
+            self.check(tmp_path, header, rows)
+
+    @pytest.mark.parametrize("experiment", ["lifetime", "ramsey", "lineshape"])
+    def test_fit_report_bytes(self, tmp_path, experiment):
+        cfg = cli.validate_config(experiment, {})
+        result = cli.EXPERIMENTS[experiment].compute(cfg)
+        cli._emit(experiment, cfg, result, tmp_path, plot=False)
+        meta = cli._meta(experiment, cfg, **result.meta)
+        name, fit = result.fit
+        assert (tmp_path / name).read_text() == _reference_fit_report(fit, meta)

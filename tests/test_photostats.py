@@ -114,6 +114,31 @@ class TestFftPeaks:
             photostats.fft_peaks(trace, window="boxcar")
 
 
+def _reference_local_maxima(y, min_fraction):
+    """The former per-index scan of ``peaks.local_maxima``."""
+    y = np.asarray(y, dtype=float)
+    if y.size < 3:
+        return []
+    floor = min_fraction * np.max(y)
+    return [i for i in range(1, y.size - 1)
+            if y[i] > y[i - 1] and y[i] > y[i + 1] and y[i] > floor]
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(0, 4)) if seed < 8 else int(rng.integers(4, 60))
+        # few distinct levels give plateaus and equal neighbours
+        y = rng.integers(0, 4, size).astype(float) - rng.choice([0.0, 1.5])
+        if seed % 5 == 4 and size:
+            y[rng.integers(0, size)] = np.nan
+        for min_fraction in (0.0, 0.05, 0.5, -1.0):
+            got = peaks.local_maxima(y, min_fraction)
+            assert got == _reference_local_maxima(y, min_fraction)
+            assert all(type(i) is int for i in got)
+
+
 class TestEmissionSpectrum:
     def test_weak_resonant_drive_single_line(self):
         spectrum = photostats.emission_spectrum(
