@@ -199,10 +199,10 @@ def _g2_fit(data):
 
 def _mollow_peaks(data):
     """Peak count, upper sideband position and center:sideband height ratio."""
-    spectrum = data["spectrum"]
+    freqs, intensity = data["freqs"], data["intensity"]
     found = sorted(
-        peaks.parabolic_refine(spectrum.freq_ghz, spectrum.magnitude, i)
-        for i in peaks.local_maxima(spectrum.magnitude, min_fraction=0.05)
+        peaks.parabolic_refine(freqs, intensity, i)
+        for i in peaks.local_maxima(intensity, min_fraction=0.05)
     )
     if len(found) != 3:
         return dict(data, n_peaks=len(found), sideband=math.nan, ratio=math.nan)
@@ -221,17 +221,13 @@ def _valley_on_diagonal(data):
 
 
 def _oscillations(data):
-    y = data["curve"].y
+    y = data["pops"]
     n_max = len([i for i in peaks.local_maxima(y) if y[i] > 0.3])
     return n_max >= 2, n_max
 
 
-def _sqrtp_line(powers, values) -> fitkit.FitResult:
-    return fitkit.fit_linear_sqrtp(list(zip(powers, values)))
-
-
 def _linear_r2(powers, values):
-    r2 = _sqrtp_line(powers, values).extra["r_squared"]
+    r2 = fitkit.fit_linear_sqrtp(powers, values).extra["r_squared"]
     return r2 > 0.99, r2
 
 
@@ -241,7 +237,8 @@ def _t2_flat(*runs):
 
 
 def _splitting_linear(*runs):
-    lin = _sqrtp_line([_power(om) for om in _PUMP_OMEGAS], [r["splitting"] for r in runs])
+    lin = fitkit.fit_linear_sqrtp([_power(om) for om in _PUMP_OMEGAS],
+                                  [r["splitting"] for r in runs])
     ok = lin.extra["r_squared"] > 0.99 and abs(lin["intercept"]) < 0.02
     return ok, lin.extra["r_squared"], lin["intercept"]
 
@@ -326,7 +323,7 @@ CHECKS = [
     ("pulsed Rabi shows >= 2 oscillations ({} maxima)", ("pulsed_rabi",),
      _oscillations, None, None),
     ("first pulsed maximum >= 0.93 ({:.3f})", ("pulsed_rabi",),
-     lambda d: (d["curve"].y.max() >= 0.93, d["curve"].y.max()), None, None),
+     lambda d: (d["pops"].max() >= 0.93, d["pops"].max()), None, None),
     ("sine period matches pi-pulse calibration", ("pulsed_rabi",),
      lambda d: d["fit"]["period"], _PULSED_PERIOD, 0.05 * _PULSED_PERIOD),
     ("Ramsey fringe oscillates with optical phase", ("ramsey_fringe",),
@@ -334,7 +331,7 @@ CHECKS = [
     ("Ramsey visibility decay 0.78 ns", ("ramsey_visibility",),
      lambda d: d["fit"]["tau_ns"], 0.78, 0.05 * 0.78),
     ("V(0) > 0.95 ({:.3f})", ("ramsey_visibility",),
-     lambda d: (d["curve"].y[0] > 0.95, d["curve"].y[0]), None, None),
+     lambda d: (d["visibility"][0] > 0.95, d["visibility"][0]), None, None),
     ("Mollow spectrum has 3 peaks ({})", ("mollow_spectrum",),
      lambda d: (d["n_peaks"] == 3, d["n_peaks"]), None, None),
     ("Mollow sidebands at +/- Omega", ("mollow_spectrum",), lambda d: d["sideband"],

@@ -7,6 +7,7 @@ then one row per record.  Matrices are stored long-form as
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -44,7 +45,11 @@ def write_csv(path, header, rows, meta: dict | None = None) -> None:
 
 
 def read_csv(path):
-    """Read back (meta, header, data) from :func:`write_csv` output."""
+    """Read back (meta, header, data) from :func:`write_csv` output.
+
+    A non-numeric or non-finite cell, or a row of the wrong width, raises
+    :class:`ModelError` naming the file and line.
+    """
     meta: dict = {}
     header = None
     data = []
@@ -67,6 +72,8 @@ def read_csv(path):
             row = [float(v) for v in line.split(",")]
         except ValueError:
             raise ModelError(f"{path}:{lineno}: non-numeric row {line!r}")
+        if not all(map(math.isfinite, row)):
+            raise ModelError(f"{path}:{lineno}: non-finite value in row {line!r}")
         if len(row) != len(header):
             raise ModelError(
                 f"{path}:{lineno}: row has {len(row)} columns, header has {len(header)}"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import csvio, fitkit, lambda_system, photostats, qdyn, ramsey, synth, tls
 from .errors import ConfigError, ModelError
-from .qdyn import Curve, TimeGrid, TimeTrace
+from .qdyn import TimeGrid, TimeTrace
 
 _SAT_RABI_GHZ = 1.0 / (2.0 * math.pi * math.sqrt(1.85 * 1.62))
 
@@ -292,10 +292,8 @@ def _detuning_map(cfg):
     traces = tls.rabi_traces(params, cfg["rabi_ghz"], detunings, pulse, grid)
     peak_rows = []
     for det, values in zip(detunings, traces):
-        spectrum, found = photostats.fft_peaks(TimeTrace(on_grid, values[:n_on]), n_peaks=1)
-        peak_rows.append(
-            (det, found[0][0] if found else math.nan, spectrum.meta["bin_ghz"])
-        )
+        found, bin_ghz = photostats.fft_peaks(TimeTrace(on_grid, values[:n_on]))
+        peak_rows.append((det, found[0][0] if found else math.nan, bin_ghz))
     times = grid.times()
     return Result(
         f"detuning_map: {len(detunings)} detunings, Omega/2pi={cfg['rabi_ghz']} GHz",
@@ -345,13 +343,13 @@ def _g2(cfg):
 def _mollow_spectrum(cfg):
     drive = tls.Drive(cfg["rabi_ghz"], cfg["detuning_ghz"])
     freqs = np.linspace(cfg["f_min_ghz"], cfg["f_max_ghz"], cfg["n_freqs"])
-    spectrum = photostats.emission_spectrum(_params(cfg), drive, freqs)
+    intensity = photostats.emission_spectrum(_params(cfg), drive, freqs)
     return Result(
         f"mollow_spectrum: Omega/2pi={cfg['rabi_ghz']} GHz, "
         f"{cfg['n_freqs']} frequencies",
-        {"spectrum": spectrum},
-        **_curve("mollow_spectrum", "freq_ghz", "intensity", spectrum.freq_ghz,
-                 spectrum.magnitude, "emission spectrum", "freq - nu0 (GHz)"),
+        {"freqs": freqs, "intensity": intensity},
+        **_curve("mollow_spectrum", "freq_ghz", "intensity", freqs, intensity,
+                 "emission spectrum", "freq - nu0 (GHz)"),
     )
 
 
@@ -364,14 +362,14 @@ def _mollow_spectrum(cfg):
 )
 def _lineshape(cfg):
     detunings = np.linspace(-cfg["span_ghz"] / 2, cfg["span_ghz"] / 2, cfg["n_points"])
-    curve = tls.excitation_lineshape(_params(cfg), cfg["rabi_ghz"], detunings)
-    fit = fitkit.fit_lorentzian_fwhm(curve)
+    pops = tls.excitation_lineshape(_params(cfg), cfg["rabi_ghz"], detunings)
+    fit = fitkit.fit_lorentzian_fwhm(detunings, pops)
     return Result(
         f"lineshape: FWHM={fit['fwhm'] * 1e3:.1f} MHz "
         f"(Omega/2pi={cfg['rabi_ghz']:.4g} GHz)",
-        {"curve": curve, "fit": fit},
+        {"fit": fit},
         fit=("lineshape_fit.csv", fit),
-        **_curve("lineshape", "detuning_ghz", "population", curve.x, curve.y,
+        **_curve("lineshape", "detuning_ghz", "population", detunings, pops,
                  "excitation lineshape", "detuning (GHz)"),
     )
 
@@ -396,19 +394,19 @@ def _autler_scan(cfg):
     lparams = _lambda_params(cfg)
     omega_c, omega_d = _lambda_rabis(cfg)
     deltas = np.linspace(cfg["delta_min_ghz"], cfg["delta_max_ghz"], cfg["n_points"])
-    curve = lambda_system.probe_scan(lparams, omega_c, cfg["delta_c_ghz"], omega_d,
+    fluor = lambda_system.probe_scan(lparams, omega_c, cfg["delta_c_ghz"], omega_d,
                                      deltas)
     try:
-        splitting = lambda_system.dip_splitting(curve)
+        splitting = lambda_system.dip_splitting(deltas, fluor)
         split_text = f"splitting={splitting:.4f} GHz"
     except ModelError:
         splitting = math.nan
         split_text = "no Autler-Townes doublet"
     return Result(
         f"autler_scan: Omega_C/2pi={omega_c:.4f} GHz, {split_text}",
-        {"curve": curve, "splitting": splitting},
+        {"splitting": splitting},
         meta=_omegas_used(omega_c, omega_d),
-        **_curve("autler_scan", "delta_d_ghz", "fluorescence", curve.x, curve.y,
+        **_curve("autler_scan", "delta_d_ghz", "fluorescence", deltas, fluor,
                  "probe scan", "delta_D (GHz)"),
     )
 
@@ -462,15 +460,16 @@ def _pulsed_rabi(cfg):
         omega_top = 4.2 * math.pi / pulse.area_factor()
         p_max = omega_top**2 * params.t1 * params.t2 * calib.p_sat_nw
     powers = np.linspace(0.0, p_max, cfg["n_powers"])
-    curve = tls.pulsed_rabi_scan(params, pulse, powers, calib)
-    fit = fitkit.fit_sine_sqrtp(np.column_stack([curve.x, curve.y]))
+    sqrt_powers = np.sqrt(powers)
+    pops = tls.pulsed_rabi_scan(params, pulse, powers, calib)
+    fit = fitkit.fit_sine_sqrtp(sqrt_powers, pops)
     return Result(
-        f"pulsed_rabi: first max {curve.y.max():.3f}, "
+        f"pulsed_rabi: first max {pops.max():.3f}, "
         f"sine period {fit['period']:.3f} sqrt(nW)",
-        {"curve": curve, "fit": fit},
+        {"pops": pops, "fit": fit},
         fit=("pulsed_rabi_fit.csv", fit),
         meta={"p_max_nw_used": csvio.format_number(p_max)},
-        **_curve("pulsed_rabi", "sqrt_power_nw", "population", curve.x, curve.y,
+        **_curve("pulsed_rabi", "sqrt_power_nw", "population", sqrt_powers, pops,
                  "pulsed Rabi scan", "sqrt(P/nW)"),
     )
 
@@ -503,15 +502,14 @@ def _ramsey(cfg):
                      "Ramsey fringe", "relative phase (rad)"),
         )
     taus = np.linspace(0.0, cfg["tau_max_ns"], cfg["n_taus"])
-    curve = ramsey.visibility_curve(params, pulse, taus, n_phases=cfg["n_phases"],
-                                    detuning=cfg["detuning_ghz"])
-    fit = fitkit.fit_exp_decay(curve)
+    vis = ramsey.visibility_curve(params, pulse, taus, n_phases=cfg["n_phases"],
+                                  detuning=cfg["detuning_ghz"])
+    fit = fitkit.fit_exp_decay(taus, vis)
     return Result(
-        f"ramsey visibility: fitted decay {fit['tau_ns']:.3f} ns, "
-        f"V(0)={curve.y[0]:.3f}",
-        {"curve": curve, "fit": fit},
+        f"ramsey visibility: fitted decay {fit['tau_ns']:.3f} ns, V(0)={vis[0]:.3f}",
+        {"visibility": vis, "fit": fit},
         fit=("ramsey_visibility_fit.csv", fit),
-        **_curve("ramsey_visibility", "tau_ns", "visibility", curve.x, curve.y,
+        **_curve("ramsey_visibility", "tau_ns", "visibility", taus, vis,
                  "Ramsey visibility", "tau (ns)"),
     )
 
@@ -527,7 +525,7 @@ def _lifetime(cfg):
     l = qdyn.build_liouvillian(np.zeros((2, 2)), tls.decay_jumps(_params(cfg)))
     rhos = qdyn.evolve(l, tls.PROJ_EXCITED, grid)
     pops = rhos[:, tls.EXCITED, tls.EXCITED].real
-    fit = fitkit.fit_exp_decay(Curve(grid.times(), pops, xlabel="t_ns"))
+    fit = fitkit.fit_exp_decay(grid.times(), pops)
     return Result(
         f"lifetime: fitted tau={fit['tau_ns']:.4f} ns",
         {"fit": fit},
@@ -557,10 +555,10 @@ FIT_MODELS = {
     "rabi": lambda x, y, cfg: fitkit.fit_rabi(
         _uniform_trace(x, y, "rabi fit"), t1_fixed=cfg["t1_ns"], mu_mode=cfg["mu_mode"]
     ),
-    "exp_decay": lambda x, y, cfg: fitkit.fit_exp_decay(Curve(x, y)),
-    "lorentzian": lambda x, y, cfg: fitkit.fit_lorentzian_fwhm(Curve(x, y)),
-    "linear_sqrtp": lambda x, y, cfg: fitkit.fit_linear_sqrtp(np.column_stack([x, y])),
-    "sine_sqrtp": lambda x, y, cfg: fitkit.fit_sine_sqrtp(np.column_stack([x, y])),
+    "exp_decay": lambda x, y, cfg: fitkit.fit_exp_decay(x, y),
+    "lorentzian": lambda x, y, cfg: fitkit.fit_lorentzian_fwhm(x, y),
+    "linear_sqrtp": lambda x, y, cfg: fitkit.fit_linear_sqrtp(x, y),
+    "sine_sqrtp": lambda x, y, cfg: fitkit.fit_sine_sqrtp(x, y),
 }
 
 
@@ -600,11 +598,10 @@ def _synth(cfg):
         background_rate=cfg["background_rate"],
         irf_sigma=cfg["irf_sigma_ns"],
     )
-    hist = synth.synth_counts(trace, noise)
+    grid, counts = synth.synth_counts(trace, noise)
     return Result(
-        f"synth: {hist.counts.size} bins, peak {hist.counts.max()} counts "
-        f"(seed {cfg['seed']})",
-        {"hist": hist},
-        **_curve("synth_counts", header[0], "counts", hist.grid.times(), hist.counts,
+        f"synth: {counts.size} bins, peak {counts.max()} counts (seed {cfg['seed']})",
+        {"counts": counts},
+        **_curve("synth_counts", header[0], "counts", grid.times(), counts,
                  "synthetic counts", header[0]),
     )

@@ -6,11 +6,13 @@ normal equations.  Positive parameters are fitted in log space (smooth
 reparameterization, no clipping).  Convergence: relative chi^2 change
 below 1e-10 or step norm below 1e-12, capped at 500 iterations.
 
-Weighting follows photon counting: ``weighting="poisson"`` uses
-sigma^2 = max(counts, 1), which reduces to unit weights for normalized
-curves.  Initialization heuristics are fixed so fits reproduce without
-hand-tuned seeds: Rabi frequency from the FFT peak, decay constants from
-log-linear regression, Lorentzian moments from half-maximum crossings.
+:func:`fit_rabi` uses Poisson weights, sigma^2 = max(counts, 1), which
+reduce to unit weights for normalized curves; the other fits use unit
+weights.  The fits take their data as (x, y) arrays, :func:`fit_rabi` as
+a uniformly sampled trace.  Initialization heuristics are fixed so fits
+reproduce without hand-tuned seeds: Rabi frequency from the FFT peak,
+decay constants from log-linear regression, Lorentzian moments from
+half-maximum crossings.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import tls
 from .errors import ModelError, NumericFailure
 from .photostats import fft_peaks
-from .qdyn import Curve, TimeGrid, TimeTrace
+from .qdyn import TimeGrid, TimeTrace
 
 MAX_ITER = 500
 CHI2_RTOL = 1e-10
@@ -48,25 +50,13 @@ class FitResult:
         return self.params[name]
 
 
-def _weights(y: np.ndarray, weighting) -> np.ndarray:
-    if weighting is None or weighting == "unit":
-        return np.ones_like(y)
-    if weighting == "poisson":
-        return 1.0 / np.sqrt(np.maximum(y, 1.0))
-    w = np.asarray(weighting, dtype=float)
-    if w.shape != y.shape:
-        raise ModelError("weight array length does not match data")
-    return w
-
-
 def lm_fit(
     model,
     x: np.ndarray,
     y: np.ndarray,
     p0: dict,
-    weighting="unit",
+    weights: np.ndarray | None = None,
     positive: tuple = (),
-    max_iter: int = MAX_ITER,
 ) -> FitResult:
     """Levenberg-Marquardt least squares of ``model(x, **params)`` to y.
 
@@ -77,8 +67,8 @@ def lm_fit(
     p0 : dict
         Named initial parameters; insertion order fixes the parameter
         vector layout.
-    weighting : "unit", "poisson" or array
-        Residual weights 1/sigma.
+    weights : ndarray, optional
+        Residual weights 1/sigma, one per point; unit weights by default.
     positive : tuple of str
         Parameter names constrained positive by log reparameterization.
 
@@ -106,7 +96,9 @@ def lm_fit(
             raise ModelError(f"positive-constrained '{name}' is not a parameter")
         if p0[name] <= 0:
             raise ModelError(f"initial '{name}' must be positive, got {p0[name]}")
-    w = _weights(y, weighting)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != y.shape:
+        raise ModelError("weight array length does not match data")
     is_log = np.array([n in positive for n in names])
 
     def to_q(p):
@@ -145,8 +137,8 @@ def lm_fit(
     lam = 1e-3
     n_iter = 0
     converged = False
-    message = "max iterations (%d) reached" % max_iter
-    while n_iter < max_iter:
+    message = "max iterations (%d) reached" % MAX_ITER
+    while n_iter < MAX_ITER:
         n_iter += 1
         jac = jacobian(q)
         col_norms = np.linalg.norm(jac, axis=0)
@@ -250,16 +242,14 @@ def _estimate_omega(x: np.ndarray, y: np.ndarray):
     if dx.size == 0 or np.max(np.abs(dx - dx[0])) > 1e-6 * abs(dx[0]):
         return None
     trace = TimeTrace(TimeGrid(float(x[0]), float(x[-1]), x.size), y)
-    _, found = fft_peaks(trace, n_peaks=1)
+    found, _ = fft_peaks(trace)
     if not found or found[0][0] <= 0:
         return None
     return found[0][0]
 
 
-def fit_rabi(
-    data: TimeTrace, t1_fixed: float, mu_mode: str = "auto", weighting="poisson"
-) -> FitResult:
-    """Fit a Rabi trace or g2 curve with the damped-Rabi model.
+def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto") -> FitResult:
+    """Fit a Rabi trace or g2 curve with the damped-Rabi model, Poisson-weighted.
 
     Free parameters: omega_ghz, t2_ns, scale_a, offset_dg, dt_ns; t1 is a
     measured input, never fitted.  Returns ``converged=False`` with a
@@ -294,7 +284,7 @@ def fit_rabi(
                           t1_ns=t1_fixed, mu_mode=mode)
 
     result = lm_fit(
-        model, x, y, init, weighting=weighting,
+        model, x, y, init, weights=1.0 / np.sqrt(np.maximum(y, 1.0)),
         positive=("omega_ghz", "t2_ns", "scale_a"),
     )
     result.extra["mu_mode"] = mode
@@ -305,34 +295,30 @@ def fit_rabi(
 # -- simple models --------------------------------------------------------------
 
 
-def fit_linear_sqrtp(pairs, weighting="unit") -> FitResult:
-    """Weighted linear regression of frequency versus sqrt(power).
+def fit_linear_sqrtp(power_nw, omega_ghz) -> FitResult:
+    """Linear regression of frequency versus sqrt(power).
 
-    ``pairs`` holds (power_nw, omega_ghz) rows.  Closed-form solution;
-    ``extra["r_squared"]`` reports the goodness of the linear trend.
+    Closed-form solution; ``extra["r_squared"]`` reports the goodness of
+    the linear trend.
     """
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
+    power = np.asarray(power_nw, dtype=float)
+    y = np.asarray(omega_ghz, dtype=float)
+    if power.ndim != 1 or power.shape != y.shape or power.size < 3:
         raise ModelError("need at least 3 (power, omega) pairs")
-    if np.any(arr[:, 0] < 0):
+    if np.any(power < 0):
         raise ModelError("powers must be >= 0")
-    x = np.sqrt(arr[:, 0])
-    y = arr[:, 1]
+    x = np.sqrt(power)
     if np.max(x) - np.min(x) <= 1e-12 * max(np.max(np.abs(x)), 1.0):
         raise ModelError("degenerate abscissas: all powers identical")
-    w = _weights(y, weighting)
     design = np.column_stack([x, np.ones_like(x)])
-    wd = design * w[:, None]
-    wy = y * w
-    coef, *_ = np.linalg.lstsq(wd, wy, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
-    resid = wy - wd @ coef
+    resid = y - design @ coef
     chi2 = float(resid @ resid)
     dof = max(x.size - 2, 1)
     chi2_red = chi2 / dof
-    cov = np.linalg.inv(wd.T @ wd) * chi2_red
-    y_mean = np.average(y, weights=w**2)
-    ss_tot = float(np.sum((w * (y - y_mean)) ** 2))
+    cov = np.linalg.inv(design.T @ design) * chi2_red
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0
     return FitResult(
         params={"slope": slope, "intercept": intercept},
@@ -354,12 +340,12 @@ def lorentzian_model(x, center, fwhm, height, offset):
     return height * hw**2 / ((x - center) ** 2 + hw**2) + offset
 
 
-def fit_lorentzian_fwhm(curve: Curve, weighting="unit") -> FitResult:
-    """Lorentzian least squares; moment-based initialization.
+def fit_lorentzian_fwhm(x, y) -> FitResult:
+    """Lorentzian least squares of y(x); moment-based initialization.
 
     The curve must bracket the half maximum on both sides of the peak.
     """
-    x, y = curve.x, curve.y
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     i_max = int(np.argmax(y))
     offset0 = float(np.min(y))
     height0 = float(y[i_max] - offset0)
@@ -385,21 +371,20 @@ def fit_lorentzian_fwhm(curve: Curve, weighting="unit") -> FitResult:
         "height": height0,
         "offset": offset0,
     }
-    return lm_fit(lorentzian_model, x, y, init, weighting=weighting,
-                  positive=("fwhm", "height"))
+    return lm_fit(lorentzian_model, x, y, init, positive=("fwhm", "height"))
 
 
 def exp_decay_model(x, amplitude, tau_ns, offset):
     return amplitude * np.exp(-x / tau_ns) + offset
 
 
-def fit_exp_decay(curve: Curve, weighting="unit") -> FitResult:
-    """A exp(-t/tau) + c fit with log-linear initialization.
+def fit_exp_decay(x, y) -> FitResult:
+    """A exp(-t/tau) + c fit of y(x) with log-linear initialization.
 
     Needs at least 4 points spanning at least one decay constant; constant
     or non-decaying data come back with ``converged=False``.
     """
-    x, y = curve.x, curve.y
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 4:
         raise ModelError("exponential fit needs at least 4 points")
     init = {"amplitude": 1.0, "tau_ns": 1.0, "offset": 0.0}
@@ -416,8 +401,7 @@ def fit_exp_decay(curve: Curve, weighting="unit") -> FitResult:
         return _failed(init, "data do not decay (log-linear slope >= 0)")
     init.update(amplitude=float(np.exp(logamp)), tau_ns=float(-1.0 / slope),
                 offset=offset0)
-    result = lm_fit(exp_decay_model, x, y, init, weighting=weighting,
-                    positive=("amplitude", "tau_ns"))
+    result = lm_fit(exp_decay_model, x, y, init, positive=("amplitude", "tau_ns"))
     if result.converged and float(x[-1] - x[0]) < result["tau_ns"]:
         raise ModelError("data span less than one decay constant")
     return result
@@ -428,12 +412,11 @@ def sine_sqrtp_model(x, amplitude, period, phase, offset):
     return amplitude * np.sin(math.pi * x / period + phase) ** 2 + offset
 
 
-def fit_sine_sqrtp(pairs, weighting="unit") -> FitResult:
-    """Fit counts versus sqrt(power) with A sin^2(pi x / period + phase) + c."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
+def fit_sine_sqrtp(x, y) -> FitResult:
+    """Fit counts y versus sqrt(power) x with A sin^2(pi x / period + phase) + c."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 5:
         raise ModelError("need at least 5 (sqrt_power, counts) pairs")
-    x, y = arr[:, 0], arr[:, 1]
     init = {"amplitude": 1.0, "period": 1.0, "phase": 0.0, "offset": 0.0}
     spread = float(np.max(y) - np.min(y))
     if spread <= 1e-12 * max(np.max(np.abs(y)), 1.0):
@@ -455,5 +438,4 @@ def fit_sine_sqrtp(pairs, weighting="unit") -> FitResult:
         r = np.sum((y - sine_sqrtp_model(x, **trial)) ** 2)
         if best is None or r < best[0]:
             best = (r, trial)
-    return lm_fit(sine_sqrtp_model, x, y, best[1], weighting=weighting,
-                  positive=("amplitude", "period"))
+    return lm_fit(sine_sqrtp_model, x, y, best[1], positive=("amplitude", "period"))

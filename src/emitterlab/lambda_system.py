@@ -22,7 +22,6 @@ import numpy as np
 
 from . import peaks, qdyn
 from .errors import ModelError
-from .qdyn import Curve
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,20 +124,13 @@ def probe_scan(
     delta_c: float,
     omega_d: float,
     delta_d_range: Sequence[float],
-) -> Curve:
-    """Normalized steady-state fluorescence versus probe detuning (GHz)."""
-    deltas = np.asarray(delta_d_range, dtype=float)
-    signal = at_map2d(params, omega_c, omega_d, [delta_c], deltas)[0]
+) -> np.ndarray:
+    """Steady-state fluorescence at each probe detuning (GHz), normalized to its peak."""
+    signal = at_map2d(params, omega_c, omega_d, [delta_c], delta_d_range)[0]
     peak = np.max(signal)
     if peak <= 0:
         raise ModelError("no fluorescence in scan; check drive amplitudes")
-    meta = {
-        "omega_c_ghz": omega_c,
-        "delta_c_ghz": delta_c,
-        "omega_d_ghz": omega_d,
-        "ylabel": "fluorescence",
-    }
-    return Curve(x=deltas, y=signal / peak, xlabel="delta_d_ghz", meta=meta)
+    return signal / peak
 
 
 def at_map2d(
@@ -175,22 +167,23 @@ def at_map2d(
     return fluor.reshape(dcs.size, dds.size)
 
 
-def dip_splitting(curve: Curve) -> float:
-    """Separation (GHz) of the two fluorescence maxima of a probe scan.
+def dip_splitting(x, y) -> float:
+    """Separation (GHz) of the two fluorescence maxima of a probe scan y(x).
 
     Each maximum is refined by parabolic interpolation.  Raises
-    :class:`ModelError` when the curve is not in the two-maxima
+    :class:`ModelError` when the scan is not in the two-maxima
     Autler-Townes regime.
     """
-    maxima = peaks.local_maxima(curve.y, min_fraction=0.05)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    maxima = peaks.local_maxima(y, min_fraction=0.05)
     if len(maxima) < 2:
         raise ModelError(
             "not in Autler-Townes regime: fewer than two fluorescence maxima"
         )
-    maxima.sort(key=lambda i: -curve.y[i])
+    maxima.sort(key=lambda i: -y[i])
     left, right = sorted(maxima[:2])
-    if not np.any(curve.y[left : right + 1] < min(curve.y[left], curve.y[right])):
+    if not np.any(y[left : right + 1] < min(y[left], y[right])):
         raise ModelError("no dip between the two fluorescence maxima")
-    x1, _ = peaks.parabolic_refine(curve.x, curve.y, left)
-    x2, _ = peaks.parabolic_refine(curve.x, curve.y, right)
+    x1, _ = peaks.parabolic_refine(x, y, left)
+    x2, _ = peaks.parabolic_refine(x, y, right)
     return abs(x2 - x1)

@@ -3,12 +3,15 @@
 g2 correlation curves via the quantum regression theorem, Gaussian
 detector-response convolution, windowed FFT peak extraction for Rabi
 traces, and the incoherent resonance-fluorescence (Mollow) spectrum.
+:func:`g2_curve` and :func:`apply_irf` return a :class:`TimeTrace` on the
+grid they build; :func:`fft_peaks` returns the sorted peaks and the bin
+width; :func:`emission_spectrum` returns the intensity at each requested
+frequency.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,26 +31,6 @@ from .tls import (
 _KERNEL_CUTOFF_SIGMAS = 5.0
 
 
-@dataclass
-class Spectrum:
-    """Magnitude spectrum on a strictly increasing frequency axis (GHz)."""
-
-    freq_ghz: np.ndarray
-    magnitude: np.ndarray
-    kind: str = "fft_of_trace"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.freq_ghz = np.asarray(self.freq_ghz, dtype=float)
-        self.magnitude = np.asarray(self.magnitude, dtype=float)
-        if self.freq_ghz.shape != self.magnitude.shape:
-            raise ModelError("spectrum axis and magnitude lengths differ")
-        if np.any(np.diff(self.freq_ghz) <= 0):
-            raise ModelError("spectrum frequency axis must be strictly increasing")
-        if np.any(self.magnitude < 0):
-            raise ModelError("spectrum magnitude must be nonnegative")
-
-
 def g2_curve(params: TlsParams, drive: Drive, grid: TimeGrid) -> TimeTrace:
     """Second-order correlation g2(tau), two-sided by even reflection.
 
@@ -63,14 +46,7 @@ def g2_curve(params: TlsParams, drive: Drive, grid: TimeGrid) -> TimeTrace:
     g2 = np.maximum(g2, 0.0)
     values = np.concatenate([g2[:0:-1], g2])
     full_grid = TimeGrid(-grid.t_end, grid.t_end, 2 * grid.n_points - 1)
-    meta = {
-        "t1_ns": params.t1,
-        "t2_ns": params.t2,
-        "rabi_ghz": drive.rabi_ghz,
-        "detuning_ghz": drive.detuning_ghz,
-        "ylabel": "g2",
-    }
-    return TimeTrace(grid=full_grid, values=values, meta=meta)
+    return TimeTrace(grid=full_grid, values=values)
 
 
 def apply_irf(trace: TimeTrace, sigma: float) -> TimeTrace:
@@ -83,7 +59,7 @@ def apply_irf(trace: TimeTrace, sigma: float) -> TimeTrace:
     if sigma < 0:
         raise ModelError(f"irf sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
-        return TimeTrace(grid=trace.grid, values=trace.values.copy(), meta=dict(trace.meta))
+        return TimeTrace(grid=trace.grid, values=trace.values.copy())
     span = trace.grid.t_end - trace.grid.t_start
     if sigma > span / 4.0:
         raise ModelError(
@@ -100,47 +76,34 @@ def apply_irf(trace: TimeTrace, sigma: float) -> TimeTrace:
         trace.grid.t_end + half_width * dt,
         trace.grid.n_points + 2 * half_width,
     )
-    meta = dict(trace.meta)
-    meta["irf_sigma_ns"] = sigma
-    return TimeTrace(grid=grid, values=values, meta=meta)
+    return TimeTrace(grid=grid, values=values)
 
 
-def fft_peaks(trace: TimeTrace, window: str = "hann", n_peaks: int = 3):
-    """Windowed magnitude spectrum of a trace plus its strongest peaks.
+def fft_peaks(trace: TimeTrace):
+    """Peaks of the Hann-windowed magnitude spectrum of a trace, and its bin width.
 
     The trace mean is removed, a Hann window applied and the FFT zero-padded
     4x.  Peaks are interior local maxima above 5% of the global maximum,
-    refined by 3-point parabolic interpolation and returned as
-    (freq_ghz, magnitude) tuples sorted by magnitude (ties toward lower
-    frequency).
+    refined by 3-point parabolic interpolation.
 
     Returns
     -------
-    (Spectrum, list of (float, float))
+    (list of (freq_ghz, magnitude), float)
+        The peaks sorted by magnitude (ties toward lower frequency) and the
+        frequency bin width in GHz.
     """
-    if window != "hann":
-        raise ModelError(f"only the 'hann' window is supported, got '{window}'")
     y = trace.values - np.mean(trace.values)
-    n = y.size
-    n_fft = 4 * n
-    mag = np.abs(np.fft.rfft(y * np.hanning(n), n_fft))
+    n_fft = 4 * y.size
+    mag = np.abs(np.fft.rfft(y * np.hanning(y.size), n_fft))
     freqs = np.fft.rfftfreq(n_fft, d=trace.grid.dt)
-    spectrum = Spectrum(
-        freq_ghz=freqs,
-        magnitude=mag,
-        kind="fft_of_trace",
-        meta={"bin_ghz": freqs[1] if freqs.size > 1 else 0.0, "window": "hann"},
-    )
-    if np.max(mag) <= 0.0:
-        return spectrum, []
     found = [peaks.parabolic_refine(freqs, mag, i)
              for i in peaks.local_maxima(mag, min_fraction=0.05)]
     found.sort(key=lambda fm: (-fm[1], fm[0]))
-    return spectrum, found[:n_peaks]
+    return found, freqs[1]
 
 
-def emission_spectrum(params: TlsParams, drive: Drive, freq_range) -> Spectrum:
-    """Incoherent resonance-fluorescence spectrum relative to the bare line.
+def emission_spectrum(params: TlsParams, drive: Drive, freq_range) -> np.ndarray:
+    """Incoherent resonance-fluorescence spectrum at each frequency of the range.
 
     Transform of the stationary dipole correlator <sigma+(tau) sigma-(0)>
     minus its coherent (mean-field) part, in closed form as the resolvent
@@ -167,12 +130,4 @@ def emission_spectrum(params: TlsParams, drive: Drive, freq_range) -> Spectrum:
         raise NumericFailure(
             f"emission spectrum went negative beyond tolerance: {np.min(s):.3e}"
         )
-    s = np.maximum(s, 0.0)
-    meta = {
-        "t1_ns": params.t1,
-        "t2_ns": params.t2,
-        "rabi_ghz": drive.rabi_ghz,
-        "detuning_ghz": drive.detuning_ghz,
-        "coherent_part_subtracted": True,
-    }
-    return Spectrum(freq_ghz=freq, magnitude=s, kind="emission", meta=meta)
+    return np.maximum(s, 0.0)

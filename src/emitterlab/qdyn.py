@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,11 +84,10 @@ class TimeGrid:
 
 @dataclass
 class TimeTrace:
-    """Real sampled time series with metadata annotations."""
+    """Real finite time series sampled on a uniform grid."""
 
     grid: TimeGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -99,22 +98,6 @@ class TimeTrace:
             )
         if not np.all(np.isfinite(self.values)):
             raise ModelError("trace contains non-finite values")
-
-
-@dataclass
-class Curve:
-    """Real y(x) scan (detuning scans, visibility curves, power scans)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    xlabel: str = "x"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.shape != self.y.shape:
-            raise ModelError("curve x and y lengths differ")
 
 
 def check_density_matrix(

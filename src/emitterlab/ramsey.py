@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qdyn, tls
 from .errors import ModelError
-from .qdyn import Curve, TimeGrid
+from .qdyn import TimeGrid
 from .tls import EXCITED, PROJ_EXCITED, RHO_GROUND, SIGMA_X, SIGMA_Y, TWO_PI
 
 PULSE_AREA = 0.5 * math.pi
@@ -106,8 +106,8 @@ def visibility_curve(
     tau_range,
     n_phases: int = 16,
     detuning: float = 0.0,
-) -> Curve:
-    """Ramsey fringe visibility V = (max - min)/(max + min) versus delay.
+) -> np.ndarray:
+    """Ramsey fringe visibility V = (max - min)/(max + min) at each delay (ns).
 
     For each delay the relative phase is scanned over ``n_phases`` >= 16
     equally spaced values in [0, 2 pi) and the fringe extrema extracted.
@@ -121,13 +121,4 @@ def visibility_curve(
     vanishing = hi + lo <= 0
     if np.any(vanishing):
         raise ModelError(f"vanishing fringe signal at tau = {taus[vanishing][0]}")
-    vis = (hi - lo) / (hi + lo)
-    meta = {
-        "t1_ns": params.t1,
-        "t2_ns": params.t2,
-        "pulse_ns": pulse.duration,
-        "n_phases": n_phases,
-        "detuning_ghz": detuning,
-        "ylabel": "visibility",
-    }
-    return Curve(x=taus, y=vis, xlabel="tau_ns", meta=meta)
+    return (hi - lo) / (hi + lo)

@@ -126,20 +126,20 @@ def heatmap(path, x, y, z, title="", xlabel="x", ylabel="y", comment="") -> None
     z = np.asarray(z, dtype=float)
     zlo, zhi = float(np.min(z)), float(np.max(z))
     span = zhi - zlo if zhi > zlo else 1.0
-    parts, sx, sy = _axes(float(x[0]), float(x[-1]), float(y[0]), float(y[-1]),
-                          title, xlabel, ylabel)
-    # grid spacing; a single point or zero-width grid gets the unit span of _axes
+    # grid spacing; a single point or zero-width grid gets a unit cell
     dx = (x[-1] - x[0]) / (len(x) - 1) if x[-1] != x[0] else 1.0
     dy = (y[-1] - y[0]) / (len(y) - 1) if y[-1] != y[0] else 1.0
+    # the axes reach half a cell past the end cells' centres, so the raster
+    # fills the plot frame exactly
+    parts, _, _ = _axes(x[0] - 0.5 * dx, x[-1] + 0.5 * dx, y[0] - 0.5 * dy,
+                        y[-1] + 0.5 * dy, title, xlabel, ylabel)
     # channel k = floor(255 clip(3v - k, 0, 1)); PNG rows run down, y runs up
     v = (z[::-1, :, None] - zlo) / span
     rgb = np.floor(255 * np.clip(3.0 * v - np.arange(3.0), 0.0, 1.0)).astype(np.uint8)
-    x0, x1 = sx(x[0] - 0.5 * dx), sx(x[-1] + 0.5 * dx)
-    y0, y1 = sy(y[-1] + 0.5 * dy), sy(y[0] - 0.5 * dy)
     png = base64.b64encode(_png(rgb)).decode("ascii")
     image = (
-        f'<image x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-        f'height="{y1 - y0:.2f}" preserveAspectRatio="none" '
+        f'<image x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+        f'height="{_H - _MT - _MB}" preserveAspectRatio="none" '
         f'image-rendering="pixelated" href="data:image/png;base64,{png}"/>'
     )
     Path(path).write_text(_document([image] + parts, comment), encoding="utf-8")

@@ -8,21 +8,25 @@ parallel generation in any order gives identical output.
 
 Poisson sampling uses CDF inversion for means below ``_INVERSION_CUTOFF``
 (= 10 counts) and a rounded normal approximation above; at the boundary
-the approximation error is far below shot noise.
+the approximation error is far below shot noise.  A bin mean above
+``_MAX_MEAN`` (= 2**53) raises :class:`NumericFailure`, since a float no
+longer holds every integer count there.  :func:`synth_counts` returns the
+IRF-extended time grid and the int64 counts on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NumericFailure
 from .photostats import apply_irf
-from .qdyn import TimeGrid, TimeTrace
+from .qdyn import TimeTrace
 
 _INVERSION_CUTOFF = 10.0
+_MAX_MEAN = 2.0**53
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -44,20 +48,6 @@ class NoiseSpec:
             raise ModelError("background_rate must be >= 0")
         if self.irf_sigma < 0:
             raise ModelError("irf_sigma must be >= 0")
-
-
-@dataclass
-class Histogram:
-    """Integer counts per time bin."""
-
-    grid: TimeGrid
-    counts: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.grid.n_points,):
-            raise ModelError("histogram length does not match grid")
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -99,6 +89,9 @@ def _poisson_normal(means: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.nda
 def poisson_counts(means: np.ndarray, seed: int) -> np.ndarray:
     """Deterministic Poisson draw per bin, keyed by (seed, bin index)."""
     means = np.asarray(means, dtype=float)
+    if np.any(means > _MAX_MEAN):
+        raise NumericFailure(f"count mean {np.max(means):.3e} exceeds 2**53, beyond "
+                             "which a float no longer holds every integer count")
     bins = np.arange(means.size, dtype=np.uint64)
     counts = np.zeros(means.size, dtype=np.int64)
     low = means < _INVERSION_CUTOFF
@@ -112,19 +105,14 @@ def poisson_counts(means: np.ndarray, seed: int) -> np.ndarray:
     return counts
 
 
-def synth_counts(model_curve: TimeTrace, noise: NoiseSpec) -> Histogram:
-    """Noisy counts: Poisson(scale * irf(model) + background) per bin."""
+def synth_counts(model_curve: TimeTrace, noise: NoiseSpec) -> tuple:
+    """Noisy counts: Poisson(scale * irf(model) + background) per bin.
+
+    Returns the IRF-extended grid and the int64 counts on it.
+    """
     if np.any(model_curve.values < 0):
         raise ModelError("model curve must be nonnegative")
     smeared = apply_irf(model_curve, noise.irf_sigma)
-    means = noise.scale * smeared.values + noise.background_rate
-    counts = poisson_counts(means, noise.seed)
-    meta = dict(smeared.meta)
-    meta.update(
-        seed=noise.seed,
-        scale=noise.scale,
-        background_rate=noise.background_rate,
-        irf_sigma_ns=noise.irf_sigma,
-        ylabel="counts",
-    )
-    return Histogram(grid=smeared.grid, counts=counts, meta=meta)
+    with np.errstate(over="ignore"):  # an infinite mean fails in poisson_counts
+        means = noise.scale * smeared.values + noise.background_rate
+    return smeared.grid, poisson_counts(means, noise.seed)

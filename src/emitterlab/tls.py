@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qdyn
 from .errors import ModelError, NumericFailure
-from .qdyn import Curve, TimeGrid, TimeTrace
+from .qdyn import TimeGrid, TimeTrace
 
 GROUND = 0
 EXCITED = 1
@@ -384,23 +384,13 @@ def rabi_trace_numeric(
 ) -> TimeTrace:
     """:func:`rabi_traces` at the one detuning of ``drive``, as a trace."""
     values = rabi_traces(params, drive.rabi_ghz, [drive.detuning_ghz], pulse, grid)[0]
-    meta = {
-        "t1_ns": params.t1,
-        "t2_ns": params.t2,
-        "rabi_ghz": drive.rabi_ghz,
-        "detuning_ghz": drive.detuning_ghz,
-        "pulse_shape": pulse.shape,
-        "pulse_ns": pulse.duration,
-        "period_ns": pulse.period,
-        "ylabel": "population",
-    }
-    return TimeTrace(grid=grid, values=values, meta=meta)
+    return TimeTrace(grid=grid, values=values)
 
 
 def excitation_lineshape(
     params: TlsParams, rabi_ghz: float, detuning_range: Sequence[float]
-) -> Curve:
-    """Steady-state excited population versus laser detuning (GHz).
+) -> np.ndarray:
+    """Steady-state excited population at each laser detuning (GHz) of the range.
 
     The range must bracket the half-maximum on both sides; combine with
     ``fitkit.fit_lorentzian_fwhm`` for the linewidth.
@@ -415,9 +405,7 @@ def excitation_lineshape(
         raise ModelError(
             "detuning range too narrow: endpoints do not fall below half maximum"
         )
-    meta = {"t1_ns": params.t1, "t2_ns": params.t2, "rabi_ghz": rabi_ghz,
-            "ylabel": "population"}
-    return Curve(x=detunings, y=pops, xlabel="detuning_ghz", meta=meta)
+    return pops
 
 
 def power_to_rabi(calib: PowerCalib, params: TlsParams, p_nw: float) -> float:
@@ -437,8 +425,8 @@ def pulsed_rabi_scan(
     pulse: PulseEnvelope,
     power_range: Sequence[float],
     calib: PowerCalib,
-) -> Curve:
-    """Post-pulse excited population versus sqrt(power).
+) -> np.ndarray:
+    """Post-pulse excited population at each power (nW) of the range.
 
     One pulse per power, all powers in one verified propagation at the
     step of the strongest drive; the population is read immediately after
@@ -455,13 +443,4 @@ def pulsed_rabi_scan(
         RHO_GROUND, TimeGrid(0.0, t_read, 9),
         dt_int=internal_step(params, float(np.max(omegas, initial=0.0))),
     )
-    pops = rhos[:, -1, EXCITED, EXCITED].real
-    meta = {
-        "t1_ns": params.t1,
-        "t2_ns": params.t2,
-        "pulse_shape": pulse.shape,
-        "pulse_ns": pulse.duration,
-        "p_sat_nw": calib.p_sat_nw,
-        "ylabel": "population",
-    }
-    return Curve(x=np.sqrt(powers), y=pops, xlabel="sqrt_power_nw", meta=meta)
+    return rhos[:, -1, EXCITED, EXCITED].real

@@ -373,18 +373,26 @@ class TestFitThroughFiles:
         assert abs(values["period"] - 1.1) < 1e-6
 
     def test_malformed_input_exits_3(self, tmp_path, capsys):
-        # a non-numeric row, then a row longer than the header
-        for text in ("x,y\n1.0,2.0\noops,4.0\n", "x,y\n1,2\n3,4,5\n"):
+        # a non-numeric row, a row longer than the header and a nan, inf or
+        # -inf cell, read by every fit model and by synth
+        texts = ("x,y\n1.0,2.0\noops,4.0\n", "x,y\n1,2\n3,4,5\n",
+                 "x,y\n1.0,2.0\n3.0,nan\n", "x,y\n1.0,2.0\ninf,4.0\n",
+                 "x,y\n1.0,2.0\n3.0,-inf\n")
+        readers = [f"experiment = fit\nfit_model = {model}\n"
+                   for model in cli.EXPERIMENTS["fit"].schema["fit_model"].choices]
+        readers.append("experiment = synth\n")
+        for k, text in enumerate(texts):
             data_path = tmp_path / "junk.csv"
             data_path.write_text(text)
-            cfg = write_cfg(
-                tmp_path,
-                f"experiment = fit\ninput = {data_path}\nfit_model = exp_decay\n",
-            )
-            assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 3
-            err = capsys.readouterr().err
-            assert f"{data_path}:3:" in err
-            assert "Traceback" not in err
+            for reader in readers:
+                cfg = write_cfg(tmp_path, f"{reader}input = {data_path}\n")
+                assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 3
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: ModelError: {data_path}:3: ")
+                assert err.count("\n") == 1
+                if k >= 2:
+                    assert "non-finite value" in err
+                assert "Traceback" not in err and "Warning" not in err
 
 
 class TestErrorPaths:
@@ -409,6 +417,20 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: NumericFailure: internal step count")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["scale", "background_rate"])
+    def test_synth_count_overflow_exits_3(self, tmp_path, capsys, key):
+        # a bin mean of 1e20 counts is above 2**53, where a float no longer
+        # holds every integer count
+        data_path = tmp_path / "model.csv"
+        csvio.write_csv(data_path, ["t_ns", "g2"],
+                        zip(np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11)), {})
+        cfg = write_cfg(tmp_path, f"experiment = synth\ninput = {data_path}\n{key} = 1e20\n")
+        assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericFailure: count mean 1.000e+20 exceeds 2**53")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize("experiment,key", [
         (name, key) for name, exp in cli.EXPERIMENTS.items()
@@ -533,16 +555,17 @@ class TestHeatmapRaster:
         assert np.all(pixels[0] == 255) and np.all(pixels[-1] == 0)
 
     def test_image_covers_the_cells(self, tmp_path):
-        # cell centres sit on the axis ends, so the raster overhangs by half a cell
+        # the axes reach half a cell past the end cells' centres, so the
+        # raster fills the plot frame exactly
         svgplot.heatmap(tmp_path / "h.svg", np.linspace(0.0, 1.0, 11),
                         np.linspace(0.0, 2.0, 5), np.zeros((5, 11)))
         image = _svg_image((tmp_path / "h.svg").read_text())
         pw = svgplot._W - svgplot._ML - svgplot._MR
         ph = svgplot._H - svgplot._MT - svgplot._MB
-        assert float(image["x"]) == pytest.approx(svgplot._ML - pw / 20, abs=0.01)
-        assert float(image["width"]) == pytest.approx(1.1 * pw, abs=0.01)
-        assert float(image["y"]) == pytest.approx(svgplot._MT - ph / 8, abs=0.01)
-        assert float(image["height"]) == pytest.approx(1.25 * ph, abs=0.01)
+        assert float(image["x"]) == svgplot._ML
+        assert float(image["width"]) == pw
+        assert float(image["y"]) == svgplot._MT
+        assert float(image["height"]) == ph
         assert image["preserveAspectRatio"] == "none"
 
 

@@ -6,7 +6,6 @@ import pytest
 from emitterlab import lambda_system as lam
 from emitterlab import qdyn, tls
 from emitterlab.errors import ModelError
-from emitterlab.qdyn import Curve
 
 OMEGA_SAT = 1.0 / (2 * np.pi * np.sqrt(1.85 * 1.62))
 
@@ -67,76 +66,71 @@ class TestLambdaLiouvillian:
 
 class TestProbeScan:
     def test_weak_pump_single_dip_at_pump_detuning(self):
-        curve = lam.probe_scan(
-            lam.LambdaParams(), omega_c=0.03, delta_c=0.1, omega_d=0.01,
-            delta_d_range=np.linspace(-0.5, 0.7, 241),
+        x = np.linspace(-0.5, 0.7, 241)
+        y = lam.probe_scan(
+            lam.LambdaParams(), omega_c=0.03, delta_c=0.1, omega_d=0.01, delta_d_range=x
         )
         interior = slice(40, 200)
-        i_min = np.argmin(curve.y[interior]) + 40
-        assert curve.x[i_min] == pytest.approx(0.1, abs=0.01)
+        i_min = np.argmin(y[interior]) + 40
+        assert x[i_min] == pytest.approx(0.1, abs=0.01)
 
     def test_strong_pump_doublet_at_half_rabi(self):
-        curve = lam.probe_scan(
-            lam.LambdaParams(), omega_c=0.5, delta_c=0.0, omega_d=0.02,
-            delta_d_range=np.linspace(-0.7, 0.7, 281),
+        x = np.linspace(-0.7, 0.7, 281)
+        y = lam.probe_scan(
+            lam.LambdaParams(), omega_c=0.5, delta_c=0.0, omega_d=0.02, delta_d_range=x
         )
-        maxima = sorted(
-            np.argsort(curve.y)[-2:], key=lambda i: curve.x[i]
-        )
-        assert curve.x[maxima[0]] == pytest.approx(-0.25, abs=0.02)
-        assert curve.x[maxima[1]] == pytest.approx(0.25, abs=0.02)
-        assert lam.dip_splitting(curve) == pytest.approx(0.5, rel=0.05)
+        maxima = sorted(np.argsort(y)[-2:], key=lambda i: x[i])
+        assert x[maxima[0]] == pytest.approx(-0.25, abs=0.02)
+        assert x[maxima[1]] == pytest.approx(0.25, abs=0.02)
+        assert lam.dip_splitting(x, y) == pytest.approx(0.5, rel=0.05)
 
     def test_symmetric_when_pump_resonant(self):
-        curve = lam.probe_scan(
+        y = lam.probe_scan(
             lam.LambdaParams(), omega_c=0.5, delta_c=0.0, omega_d=0.02,
             delta_d_range=np.linspace(-0.7, 0.7, 141),
         )
-        assert np.max(np.abs(curve.y - curve.y[::-1])) < 1e-8
+        assert np.max(np.abs(y - y[::-1])) < 1e-8
 
     def test_normalized_to_unit_maximum(self):
-        curve = lam.probe_scan(
+        y = lam.probe_scan(
             lam.LambdaParams(), 0.5, 0.0, 0.02, np.linspace(-0.7, 0.7, 81)
         )
-        assert np.max(curve.y) == pytest.approx(1.0)
+        assert np.max(y) == pytest.approx(1.0)
 
 
 class TestDipSplitting:
     @pytest.mark.parametrize("omega_c", [0.3, 0.5, 0.8])
     def test_splitting_tracks_pump_rabi(self, omega_c):
-        curve = lam.probe_scan(
-            lam.LambdaParams(), omega_c, 0.0, 0.02, np.linspace(-0.9, 0.9, 361)
-        )
-        assert lam.dip_splitting(curve) == pytest.approx(omega_c, rel=0.05)
+        x = np.linspace(-0.9, 0.9, 361)
+        y = lam.probe_scan(lam.LambdaParams(), omega_c, 0.0, 0.02, x)
+        assert lam.dip_splitting(x, y) == pytest.approx(omega_c, rel=0.05)
 
     def test_linear_in_sqrt_pump_power(self):
         from emitterlab import fitkit
 
-        pairs = []
+        x = np.linspace(-0.9, 0.9, 361)
+        powers, splittings = [], []
         for omega_c in (0.3, 0.5, 0.8):
-            curve = lam.probe_scan(
-                lam.LambdaParams(), omega_c, 0.0, 0.02, np.linspace(-0.9, 0.9, 361)
-            )
-            power = omega_c**2 * 1.85 * 1.62 * 20.0  # s = Omega^2 T1 T2 convention
-            pairs.append((power, lam.dip_splitting(curve)))
-        fit = fitkit.fit_linear_sqrtp(pairs)
+            y = lam.probe_scan(lam.LambdaParams(), omega_c, 0.0, 0.02, x)
+            powers.append(omega_c**2 * 1.85 * 1.62 * 20.0)  # s = Omega^2 T1 T2 convention
+            splittings.append(lam.dip_splitting(x, y))
+        fit = fitkit.fit_linear_sqrtp(powers, splittings)
         assert fit.extra["r_squared"] > 0.99
         assert abs(fit["intercept"]) < 0.02
 
     def test_symmetric_curve_maxima_equidistant(self):
         x = np.linspace(-0.9, 0.9, 361)
-        curve = lam.probe_scan(lam.LambdaParams(), 0.5, 0.0, 0.02, x)
-        maxima = sorted(np.argsort(curve.y)[-2:])
-        mid = np.argmin(curve.y[maxima[0] : maxima[1] + 1]) + maxima[0]
-        left = curve.x[mid] - curve.x[maxima[0]]
-        right = curve.x[maxima[1]] - curve.x[mid]
+        y = lam.probe_scan(lam.LambdaParams(), 0.5, 0.0, 0.02, x)
+        maxima = sorted(np.argsort(y)[-2:])
+        mid = np.argmin(y[maxima[0] : maxima[1] + 1]) + maxima[0]
+        left = x[mid] - x[maxima[0]]
+        right = x[maxima[1]] - x[mid]
         assert abs(left - right) <= x[1] - x[0] + 1e-12
 
     def test_not_in_regime_rejected(self):
         x = np.linspace(-0.5, 0.5, 101)
-        curve = Curve(x, np.exp(-((x / 0.1) ** 2)))
         with pytest.raises(ModelError, match="Autler-Townes"):
-            lam.dip_splitting(curve)
+            lam.dip_splitting(x, np.exp(-((x / 0.1) ** 2)))
 
 
 class TestAtMap2d:
@@ -165,8 +159,7 @@ class TestAtMap2d:
         splittings = []
         for omega_c in (0.4, 0.8):
             row = lam.at_map2d(params, omega_c, 0.02, [0.0], dds)[0]
-            curve = Curve(dds, row / row.max())
-            splittings.append(lam.dip_splitting(curve))
+            splittings.append(lam.dip_splitting(dds, row / row.max()))
         assert splittings[1] > splittings[0]
 
     def test_relabeling_symmetry(self):
@@ -206,8 +199,8 @@ class TestStackedSweeps:
             )[2, 2].real
             for dd in dds
         ])
-        curve = lam.probe_scan(params, 0.5, 0.1, 0.02, dds)
-        assert np.max(np.abs(curve.y - signal / signal.max())) <= 1e-14
+        fluor = lam.probe_scan(params, 0.5, 0.1, 0.02, dds)
+        assert np.max(np.abs(fluor - signal / signal.max())) <= 1e-14
 
     def test_excitation_lineshape_matches_per_point_loop(self):
         params = tls.TlsParams(1.85, 1.62)
@@ -216,8 +209,8 @@ class TestStackedSweeps:
             qdyn.steady_state(tls.tls_liouvillian(params, tls.Drive(0.1, d)))[1, 1].real
             for d in detunings
         ])
-        curve = tls.excitation_lineshape(params, 0.1, detunings)
-        assert np.max(np.abs(curve.y - pops)) <= 1e-14
+        lineshape = tls.excitation_lineshape(params, 0.1, detunings)
+        assert np.max(np.abs(lineshape - pops)) <= 1e-14
 
     def test_blocked_map_matches_per_point_loop(self, monkeypatch):
         # blocks of 10 points split rows of 9, so block edges fall mid-row

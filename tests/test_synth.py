@@ -12,41 +12,37 @@ def flat_trace(n=1000, value=1.0):
 
 class TestSynthCounts:
     def test_zero_model_zero_counts(self):
-        hist = synth.synth_counts(
+        _, counts = synth.synth_counts(
             flat_trace(value=0.0), synth.NoiseSpec(seed=1, scale=100.0)
         )
-        assert np.all(hist.counts == 0)
+        assert np.all(counts == 0)
 
     def test_fixed_seed_reproduces_bit_for_bit(self):
         trace = flat_trace()
         spec = synth.NoiseSpec(seed=42, scale=20.0, background_rate=1.0)
-        h1 = synth.synth_counts(trace, spec)
-        h2 = synth.synth_counts(trace, spec)
-        assert np.array_equal(h1.counts, h2.counts)
+        _, c1 = synth.synth_counts(trace, spec)
+        _, c2 = synth.synth_counts(trace, spec)
+        assert np.array_equal(c1, c2)
 
-    def test_seed_changes_output_metadata_does_not(self):
+    def test_seed_changes_output(self):
         trace = flat_trace()
-        base = synth.synth_counts(trace, synth.NoiseSpec(seed=1, scale=20.0))
-        other_seed = synth.synth_counts(trace, synth.NoiseSpec(seed=2, scale=20.0))
-        assert not np.array_equal(base.counts, other_seed.counts)
-        annotated = TimeTrace(trace.grid, trace.values,
-                              meta={"note": "irrelevant", "run": 7})
-        same = synth.synth_counts(annotated, synth.NoiseSpec(seed=1, scale=20.0))
-        assert np.array_equal(base.counts, same.counts)
+        _, base = synth.synth_counts(trace, synth.NoiseSpec(seed=1, scale=20.0))
+        _, other_seed = synth.synth_counts(trace, synth.NoiseSpec(seed=2, scale=20.0))
+        assert not np.array_equal(base, other_seed)
 
     def test_large_sample_mean(self):
-        hist = synth.synth_counts(
+        _, counts = synth.synth_counts(
             flat_trace(n=100000), synth.NoiseSpec(seed=7, scale=50.0)
         )
         sigma = np.sqrt(50.0 / 100000)
-        assert abs(hist.counts.mean() - 50.0) < 3.0 * sigma
+        assert abs(counts.mean() - 50.0) < 3.0 * sigma
 
     def test_background_adds_to_mean(self):
-        hist = synth.synth_counts(
+        _, counts = synth.synth_counts(
             flat_trace(n=50000, value=0.0),
             synth.NoiseSpec(seed=3, scale=10.0, background_rate=7.0),
         )
-        assert abs(hist.counts.mean() - 7.0) < 3.0 * np.sqrt(7.0 / 50000)
+        assert abs(counts.mean() - 7.0) < 3.0 * np.sqrt(7.0 / 50000)
 
     def test_negative_model_rejected(self):
         trace = TimeTrace(TimeGrid(0.0, 1.0, 10), np.linspace(-0.1, 1.0, 10))
@@ -58,10 +54,10 @@ class TestSynthCounts:
         values = np.zeros(n)
         values[200] = 1.0
         trace = TimeTrace(TimeGrid(0.0, 4.0, n), values)
-        hist = synth.synth_counts(
+        _, counts = synth.synth_counts(
             trace, synth.NoiseSpec(seed=5, scale=2e4, irf_sigma=0.1)
         )
-        occupied = np.nonzero(hist.counts > 10)[0]
+        occupied = np.nonzero(counts > 10)[0]
         assert occupied.size > 10  # the spike spreads over many bins
 
 
