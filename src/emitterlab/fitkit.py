@@ -31,6 +31,7 @@ MAX_ITER = 500
 CHI2_RTOL = 1e-10
 STEP_TOL = 1e-12
 _JAC_REL_STEP = 1e-6
+_OVERFLOW = "fit overflows float64: {} beyond 1.8e308; rescale the data"
 
 
 @dataclass
@@ -77,8 +78,8 @@ def lm_fit(
     ModelError
         Fewer data points than free parameters, or bad inputs.
     NumericFailure
-        Non-finite model at the start, or singular normal equations that
-        damping cannot rescue.
+        Non-finite model at the start, singular normal equations that
+        damping cannot rescue, or a chi^2 or normal equations that overflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -132,7 +133,9 @@ def lm_fit(
     if not np.all(np.isfinite(f)):
         raise NumericFailure("model is non-finite at the initial parameters")
     resid = w * (y - f)
-    chi2 = float(resid @ resid)
+    chi2 = _sum_sq(resid)
+    if not math.isfinite(chi2):
+        raise NumericFailure(_OVERFLOW.format("chi^2 at the initial parameters"))
 
     lam = 1e-3
     n_iter = 0
@@ -141,15 +144,18 @@ def lm_fit(
     while n_iter < MAX_ITER:
         n_iter += 1
         jac = jacobian(q)
-        col_norms = np.linalg.norm(jac, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            col_norms = np.linalg.norm(jac, axis=0)
+            a = jac.T @ jac
+            g = jac.T @ resid
         if np.any(col_norms == 0.0):
             dead = names[int(np.argmin(col_norms))]
             raise NumericFailure(
                 f"singular normal equations: parameter '{dead}' has no effect "
                 "on the model, which damping cannot rescue"
             )
-        a = jac.T @ jac
-        g = jac.T @ resid
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+            raise NumericFailure(_OVERFLOW.format("the normal equations"))
         accepted = False
         solvable = False
         for _ in range(24):
@@ -162,11 +168,7 @@ def lm_fit(
                 continue
             q_try = q + step
             f_try = evaluate(q_try)
-            chi2_try = (
-                float((w * (y - f_try)) @ (w * (y - f_try)))
-                if np.all(np.isfinite(f_try))
-                else math.inf
-            )
+            chi2_try = _sum_sq(w * (y - f_try)) if np.all(np.isfinite(f_try)) else math.inf
             if chi2_try <= chi2:
                 accepted = True
                 break
@@ -211,6 +213,12 @@ def lm_fit(
         converged=converged,
         message=message,
     )
+
+
+def _sum_sq(r: np.ndarray) -> float:
+    """``r @ r``, inf without a warning where it overflows float64."""
+    with np.errstate(over="ignore"):
+        return float(r @ r)
 
 
 def _failed(names: dict, message: str) -> FitResult:
@@ -299,7 +307,7 @@ def fit_linear_sqrtp(power_nw, omega_ghz) -> FitResult:
     """Linear regression of frequency versus sqrt(power).
 
     Closed-form solution; ``extra["r_squared"]`` reports the goodness of
-    the linear trend.
+    the linear trend.  Sums of squares beyond float64 raise NumericFailure.
     """
     power = np.asarray(power_nw, dtype=float)
     y = np.asarray(omega_ghz, dtype=float)
@@ -314,11 +322,14 @@ def fit_linear_sqrtp(power_nw, omega_ghz) -> FitResult:
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     resid = y - design @ coef
-    chi2 = float(resid @ resid)
+    chi2 = _sum_sq(resid)
+    with np.errstate(over="ignore"):
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if not (math.isfinite(chi2) and math.isfinite(ss_tot)):
+        raise NumericFailure(_OVERFLOW.format("the sum of squares"))
     dof = max(x.size - 2, 1)
     chi2_red = chi2 / dof
     cov = np.linalg.inv(design.T @ design) * chi2_red
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0
     return FitResult(
         params={"slope": slope, "intercept": intercept},

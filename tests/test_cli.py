@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from emitterlab import cli, csvio, svgplot
+from emitterlab import cli, csvio, fitkit, svgplot
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -358,8 +358,6 @@ class TestFitThroughFiles:
         assert abs(values["intercept"]) < 1e-10
 
     def test_sine_sqrtp_model(self, tmp_path):
-        from emitterlab import fitkit
-
         x = np.linspace(0.0, 3.0, 60)
         y = fitkit.sine_sqrtp_model(x, 1.8, 1.1, 0.2, 0.05)
         data_path = tmp_path / "scan.csv"
@@ -371,6 +369,25 @@ class TestFitThroughFiles:
         assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 0
         values = _report_values(tmp_path / "out" / "fit_report.csv")
         assert abs(values["period"] - 1.1) < 1e-6
+
+    @pytest.mark.parametrize("model, y", [
+        ("lorentzian", lambda x: 1e200 * fitkit.lorentzian_model(x, 5.3, 1.2, 1.0, 0.1)),
+        ("exp_decay", lambda x: 1e300 * fitkit.exp_decay_model(x, 1.0, 2.0, 0.1)),
+        ("linear_sqrtp", lambda x: 1e300 * 0.0146 * np.sqrt(x)),
+    ])
+    def test_overflowing_data_exits_3(self, tmp_path, capsys, model, y):
+        # finite data whose sums of squares pass the float64 maximum
+        x = np.linspace(0.0, 10.0, 101)
+        data_path = tmp_path / "huge.csv"
+        csvio.write_csv(data_path, ["x", "y"], zip(x, y(x)), {})
+        cfg = write_cfg(
+            tmp_path, f"experiment = fit\ninput = {data_path}\nfit_model = {model}\n"
+        )
+        assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericFailure: fit overflows float64")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "fit_report.csv").exists()
 
     def test_malformed_input_exits_3(self, tmp_path, capsys):
         # a non-numeric row, a row longer than the header and a nan, inf or

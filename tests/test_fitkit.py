@@ -56,6 +56,15 @@ class TestLmFit:
             fitkit.lm_fit(lambda xv, a, b: a * xv, x, 2.0 * x + 0.01,
                           {"a": 1.0, "b": 1.0})
 
+    def test_overflowing_normal_equations_raise(self):
+        from emitterlab.errors import NumericFailure
+
+        # chi^2 is 0 at the start, but d(model)/d(log a) = 1e160 x squares past float64
+        x = np.linspace(1.0, 5.0, 20)
+        with pytest.raises(NumericFailure, match="overflows float64: the normal equations"):
+            fitkit.lm_fit(lambda xv, a: a * xv, x, 1e160 * x, {"a": 1e160},
+                          positive=("a",))
+
     def test_linear_model_reproduces_closed_form(self):
         rng = np.random.default_rng(5)
         x = np.linspace(0.5, 9.0, 40)

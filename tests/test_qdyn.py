@@ -1,9 +1,12 @@
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from emitterlab import lambda_system as lam
 from emitterlab import qdyn, tls
 from emitterlab.errors import ModelError, NumericFailure
 from emitterlab.qdyn import TimeGrid
@@ -284,6 +287,45 @@ class TestDrivenKernel:
                                dt_int=dt_int)
 
 
+def _eigenvalue_null_count(stack):
+    """The uniqueness count steady_states made before the rank test: the
+    eigenvalue moduli below 1e-10 x max(largest modulus, 1), per generator."""
+    eigs = np.linalg.eigvals(stack)
+    scale = np.maximum(np.max(np.abs(eigs), axis=-1), 1.0)
+    return np.sum(np.abs(eigs) < 1e-10 * scale[:, None], axis=-1)
+
+
+def _weak_damping_ladder():
+    """TLS and lambda generators, 8160 each: every rate scaled by 10^-k for
+    k = 0, 0.05, ..., 16.95, over several drives and detunings."""
+    scales = 10.0 ** -np.arange(0.0, 17.0, 0.05)[:, None, None]
+    tls_stack, lambda_stack = [], []
+    for rabi, detuning in itertools.product((0.0, 0.3, 1.0, 5.0), (0.0, 0.5, 2.0)):
+        for t2_over_t1 in (2.0, 1.0):
+            params = tls.TlsParams(1.85, t2_over_t1 * 1.85)
+            damping = tls.tls_liouvillian(params, tls.Drive(0.0))
+            driven = tls.tls_liouvillian(params, tls.Drive(rabi, detuning))
+            tls_stack.append(driven - damping + scales * damping)
+        for phi_g in (0.0, 0.01):
+            params = lam.LambdaParams(0.27, 0.27, 1.0 / 40.0, 0.0, phi_g)
+            damping = lam.lambda_liouvillian(params, lam.LambdaDrive(0.0))
+            driven = lam.lambda_liouvillian(params, lam.LambdaDrive(rabi, 0.0, 0.1, detuning))
+            lambda_stack.append(driven - damping + scales * damping)
+    return np.concatenate(tls_stack), np.concatenate(lambda_stack)
+
+
+def _count_eigvals_calls(monkeypatch) -> list:
+    """Shapes of the arrays passed to np.linalg.eigvals from now on."""
+    shapes, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return shapes
+
+
 class TestSteadyState:
     def test_undriven_decays_to_ground(self, decay_liouvillian):
         rho = qdyn.steady_state(decay_liouvillian)
@@ -338,10 +380,39 @@ class TestSteadyState:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
+        eigvals_shapes = _count_eigvals_calls(monkeypatch)
         rhos = qdyn.steady_states(np.array(ls))
         for l, rho, expected in zip(ls, rhos, direct):
             assert np.linalg.norm(l @ rho.reshape(-1)) < 1e-10
             assert np.max(np.abs(rho - expected)) < 1e-8
+        # the fallback finds its decay rates point by point, never on the stack
+        assert eigvals_shapes
+        assert all(math.prod(shape[:-2]) == 1 for shape in eigvals_shapes)
+
+    def test_eigvals_runs_only_on_fallback_points(self, monkeypatch):
+        eigvals_shapes = _count_eigvals_calls(monkeypatch)
+        ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 0.9)]
+        qdyn.steady_states(np.array(ls))
+        lam.at_map2d(lam.LambdaParams(), 2.0, 0.1, [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+        assert eigvals_shapes == []
+
+    def test_rank_test_at_least_as_strict_as_eigenvalue_count(self):
+        message = re.compile(
+            r"stationary subspace has dimension (\d+); steady state is not unique\. "
+            r"Integrate for a long time from a chosen initial state instead\."
+        )
+        for stack in _weak_damping_ladder():
+            reference = _eigenvalue_null_count(stack)
+            rejected = np.flatnonzero(reference != 1)
+            assert rejected.size > 0
+            for i in rejected:
+                with pytest.raises(ModelError) as err:
+                    qdyn.steady_states(stack[i:i + 1])
+                dimension = message.fullmatch(str(err.value))
+                assert dimension is not None, str(err.value)
+                # the doubled cut may count one more near-null direction
+                # than the eigenvalues do (108 of the 8182 rejections)
+                assert int(dimension.group(1)) >= reference[i]
 
     def test_fixed_point_stays_fixed(self):
         l = drive_liouvillian(1.85, 1.62, 0.906)
