@@ -13,15 +13,20 @@ the time span is split at the samples and at drive-segment edges, and
 consecutive equal pieces form runs.  A constant-drive run is one map,
 built once and applied to its samples by doubling (O(log n) matrix
 products); a shaped-pulse run builds its one-step maps stacked, in
-fixed-size blocks, and applies them in order.  Every evolution is verified
-by re-running at half the internal step; the step is refined until
-consecutive results agree below ``STEP_HALVING_TOL``.  :func:`propagator`
-returns such a verified map itself, so pulse sequences can be composed.
+fixed-size blocks, and applies them in order.  The engine alone picks the
+internal step: the period of the fastest generator / ``_STEPS_PER_PERIOD``.
+Every evolution is verified by re-running at half the internal step; the
+step is refined until consecutive results agree below
+``STEP_HALVING_TOL``.  :func:`propagator` returns such a verified map
+itself, so pulse sequences can be composed.
 
 A scan is one verified propagation: generators and drive couplings (drive
 strength included; segments carry the unit envelope) may be broadcasting
-stacks whose members share the initial state, the schedule and the finest
-member's step, and step halving refines on the maximum over the batch.
+stacks whose members share the initial state, the schedule and one step,
+that of the fastest undriven or fully driven member, and step halving
+refines on the maximum over the batch.  A member's shaped-pulse maps are
+chained alike in any batch, so it equals its lone run bitwise whenever
+both take the same step and refinement count.
 :func:`evolve`, :func:`evolve_driven` and the steady-state integration
 fallback share one body: check the initial state, run the verified
 propagation, check every sample of every member.
@@ -187,11 +192,18 @@ def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
     return hamiltonian_superop(h) + dissipator_superop(jump_arrays, dim)
 
 
-def _default_dt_int(matrix: np.ndarray, grid: TimeGrid) -> float:
-    rate = float(np.max(np.abs(np.linalg.eigvals(matrix))))
-    if rate <= 0.0:
-        return grid.t_end - grid.t_start
-    return (2.0 * math.pi / rate) / _STEPS_PER_PERIOD
+def _rk4_step(eigs: np.ndarray) -> float:
+    """Internal RK4 step for generators with eigenvalues ``eigs``: the period
+    of the fastest / ``_STEPS_PER_PERIOD``, or inf when every one is 0.
+
+    The rate is rounded to single precision first, so generators equal up
+    to rounding (a drive coupling rotated in phase) share one step.  A rate
+    beyond single range keeps its double value.
+    """
+    rate = float(np.max(np.abs(eigs), initial=0.0))
+    if rate < float(np.finfo(np.float32).max):
+        rate = float(np.float32(rate))
+    return 2.0 * math.pi / rate / _STEPS_PER_PERIOD if rate != 0.0 else math.inf
 
 
 def _rk4_propagator(matrix: np.ndarray, h: float) -> np.ndarray:
@@ -205,9 +217,10 @@ def _rk4_propagator(matrix: np.ndarray, h: float) -> np.ndarray:
 
 # A drive segment: (t0, t1, envelope) of the drive envelope(t) * coupling;
 # the envelope is a float for constant drive or a callable t -> envelope for
-# shaped pulses, which must accept a numpy array of times.  Gaps between
-# segments mean envelope 0.  Segment edges never fall inside an integration
-# sub-step, so discontinuous (square) envelopes keep full RK4 accuracy.
+# shaped pulses, which must accept a numpy array of times.  Its modulus is at
+# most 1, the envelope the step is chosen at.  Gaps between segments mean
+# envelope 0.  Segment edges never fall inside an integration sub-step, so
+# discontinuous (square) envelopes keep full RK4 accuracy.
 Segment = tuple[float, float, "float | Callable[[np.ndarray], np.ndarray]"]
 
 # Shaped runs build at most this many one-step RK4 maps at a time, over batch
@@ -312,9 +325,11 @@ def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int):
     v' = (m0 + amp(t) c) v from each start in turn.
 
     A one-step map is I plus the word products of m0 and c, built once,
-    weighted by envelope monomials.  The maps are built stacked, at most
-    ``_STEP_BLOCK`` per block over members, pieces and steps, with one
-    envelope call per block.
+    weighted by envelope monomials.  Each member chains its steps in runs of
+    ``min(n_steps, _STEP_BLOCK)`` whatever the batch size, so a member's
+    maps are bitwise those of its lone run.  The maps are built stacked, at
+    most ``_STEP_BLOCK`` per block over members, pieces and steps, with one
+    envelope call per run of steps.
     """
     n, size = m0.shape[0], m0.shape[-1]
     products = {}
@@ -326,19 +341,21 @@ def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int):
     # as (re, im) pairs, so the real coefficients need no complex product
     terms = terms.reshape(n, _TERM.size, size * size).view(float)
     eye = np.eye(size, dtype=complex)
-    budget = max(1, _STEP_BLOCK // max(n, 1))
-    pieces = max(1, budget // n_steps)
+    run = min(n_steps, _STEP_BLOCK)
+    members = min(max(n, 1), _STEP_BLOCK // run)
+    pieces = max(1, _STEP_BLOCK // (run * members))
     for i0 in range(0, starts.size, pieces):
         group = starts[i0:i0 + pieces]
-        per_block = max(1, budget // group.size)
         total = None
-        for j0 in range(0, n_steps, per_block):
-            t = group[:, None] + np.arange(j0, min(j0 + per_block, n_steps)) * h
+        for j0 in range(0, n_steps, run):
+            t = group[:, None] + np.arange(j0, min(j0 + run, n_steps)) * h
             env = np.broadcast_to(amp(np.stack([t, t + 0.5 * h, t + h])), (3, *t.shape))
             env = np.concatenate([env, np.ones((1, *t.shape))])
-            coef = np.prod(env[_STAGES], axis=1).reshape(_TERM.size, -1)
-            steps = (coef.T @ terms).view(complex).reshape(n, *t.shape, size, size)
-            maps = _chain(eye + steps)
+            coef = np.prod(env[_STAGES], axis=1).reshape(_TERM.size, -1).T
+            maps = np.concatenate([
+                _chain(eye + (coef @ part).view(complex).reshape(-1, *t.shape, size, size))
+                for part in np.split(terms, range(members, n, members))
+            ])
             total = maps if total is None else maps @ total
         yield from np.swapaxes(total, 0, 1)
 
@@ -393,21 +410,23 @@ def _max_abs(diff: np.ndarray) -> float:
 
 
 def _verified_propagation(
-    m0, c, segments, block, grid: TimeGrid, dt_int: float | None, error=_max_abs
+    m0, c, segments, block, grid: TimeGrid, dt_int: float | None = None, error=_max_abs
 ) -> np.ndarray:
     """:func:`_propagate` refined by step halving until ``error(cur - prev)``,
     taken over the whole batch, falls below ``STEP_HALVING_TOL``.
 
     ``m0`` and ``c`` broadcast as (..., D, D) stacks (``c`` is 0.0 when
-    undriven); ``dt_int=None`` takes the undriven default step (period of
-    the fastest ``m0`` / 200).  Returns shape (*batch, n_points, D, k).
+    undriven).  The base step ``dt_int`` defaults to the :func:`_rk4_step`
+    of the batch's undriven ``m0`` and, under a drive, its fully driven
+    ``m0 + c``; segment envelopes are at most 1 in modulus.  Returns shape
+    (*batch, n_points, D, k).
     """
     batch = np.broadcast_shapes(np.shape(m0)[:-2], np.shape(c)[:-2])
     size = np.shape(m0)[-1]
     m0, c = (np.broadcast_to(x, (*batch, size, size)).reshape(-1, size, size)
              for x in (m0, c))
     if dt_int is None:
-        dt_int = _default_dt_int(m0, grid)
+        dt_int = _rk4_step(np.linalg.eigvals(np.concatenate([m0, m0 + c]) if segments else m0))
     if not dt_int > 0:
         raise NumericFailure(f"internal step underflow: dt_int={dt_int}")
     runs = _schedule(grid, segments, dt_int)
@@ -425,7 +444,7 @@ def _verified_propagation(
     )
 
 
-def _evolve(m0, c, segments, rho0, grid: TimeGrid, dt_int: float | None) -> np.ndarray:
+def _evolve(m0, c, segments, rho0, grid: TimeGrid, dt_int: float | None = None) -> np.ndarray:
     """The one evolution body: checked ``rho0``, verified propagation, checked samples."""
     d = math.isqrt(m0.shape[-1])
     rho0 = check_density_matrix(rho0, "rho0")
@@ -438,19 +457,16 @@ def _evolve(m0, c, segments, rho0, grid: TimeGrid, dt_int: float | None) -> np.n
     )
 
 
-def evolve(
-    l: np.ndarray, rho0: np.ndarray, grid: TimeGrid, dt_int: float | None = None
-) -> np.ndarray:
+def evolve(l: np.ndarray, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Evolve ``rho0`` under the generator, or stack of generators, ``l``.
 
     Returns the samples on ``grid``, shape (..., n_points, d, d).  Trace,
     Hermiticity and positivity are checked at every sample and raise
     :class:`NumericFailure` if violated; they are never silently fixed.
-    ``dt_int`` is the internal RK4 step (default: characteristic period of
-    the fastest generator / 200), halved until samples agree below
-    ``STEP_HALVING_TOL``.
+    The internal RK4 step is the period of the fastest generator / 200,
+    halved until samples agree below ``STEP_HALVING_TOL``.
     """
-    return _evolve(l, 0.0, [], rho0, grid, dt_int)
+    return _evolve(l, 0.0, [], rho0, grid)
 
 
 # -- time-dependent drive ---------------------------------------------------
@@ -462,19 +478,19 @@ def evolve_driven(
     segments: Sequence[Segment],
     rho0: np.ndarray,
     grid: TimeGrid,
-    dt_int: float,
 ) -> np.ndarray:
     """Evolve under H(t) = H0 + a(t) * coupling with the static dissipator.
 
     The undriven generator ``l0`` and the Hermitian ``coupling`` (drive
     strength included) may be broadcasting stacks; the batch members share
-    ``rho0``, the (t0, t1, envelope) ``segments`` of a(t) (constant float
-    or callable, 0 outside) and the internal RK4 step ``dt_int``, which is
-    the finest any member needs.  Returns (*batch, n_points, d, d) samples
-    checked as in :func:`evolve`.
+    ``rho0`` and the (t0, t1, envelope) ``segments`` of a(t): a constant
+    float or a callable, at most 1 in modulus, 0 outside.  They also share
+    the internal RK4 step, the period of the fastest undriven or fully
+    driven generator in the batch / 200.  Returns (*batch, n_points, d, d)
+    samples checked as in :func:`evolve`.
     """
     c = hamiltonian_superop(_hermitian(coupling, "coupling", math.isqrt(l0.shape[-1])))
-    return _evolve(l0, c, segments, rho0, grid, dt_int)
+    return _evolve(l0, c, segments, rho0, grid)
 
 
 def _induced_inf_norm(diff: np.ndarray) -> float:
@@ -486,22 +502,21 @@ def propagator(
     coupling: np.ndarray,
     segments: Sequence[Segment],
     t_end: float,
-    dt_int: float,
 ) -> np.ndarray:
     """Verified d^2 x d^2 maps of the driven evolution over [0, t_end].
 
     ``vec(rho(t_end)) = M @ vec(rho(0))`` for the row-major ``vec`` of the
-    generator, with the drive and batch of :func:`evolve_driven`; returns
-    shape (*batch, d^2, d^2).  The identity is propagated and refined by
-    step halving until the induced infinity norm ``max_i sum_j |dM_ij|``
-    of the change, the worst over the batch, falls below
-    ``STEP_HALVING_TOL``, which bounds the change of every entry of
+    generator, with the drive, batch and internal step of
+    :func:`evolve_driven`; returns shape (*batch, d^2, d^2).  The identity
+    is propagated and refined by step halving until the induced infinity
+    norm ``max_i sum_j |dM_ij|`` of the change, the worst over the batch,
+    falls below ``STEP_HALVING_TOL``, which bounds the change of every entry of
     ``M @ v`` for any ``v`` with entries of modulus <= 1.
     """
     c = hamiltonian_superop(_hermitian(coupling, "coupling", math.isqrt(l0.shape[-1])))
     eye = np.eye(l0.shape[-1], dtype=complex)
     maps = _verified_propagation(
-        l0, c, segments, eye, TimeGrid(0.0, t_end, 2), dt_int, _induced_inf_norm
+        l0, c, segments, eye, TimeGrid(0.0, t_end, 2), error=_induced_inf_norm
     )
     return maps[..., -1, :, :]
 
@@ -559,7 +574,7 @@ def _integrated_steady_state(matrix: np.ndarray) -> np.ndarray:
     decay_eigs = np.delete(eigs, np.argmin(np.abs(eigs)))
     horizon = 40.0 / max(np.min(np.abs(decay_eigs.real)), 1e-12)
     mixed = np.eye(d, dtype=complex) / d
-    rho = _evolve(matrix, 0.0, [], mixed, TimeGrid(0.0, horizon, 64), None)[-1]
+    rho = _evolve(matrix, 0.0, [], mixed, TimeGrid(0.0, horizon, 64), _rk4_step(eigs))[-1]
     residual = np.linalg.norm(matrix @ rho.reshape(-1))
     if residual >= STEADY_STATE_RESIDUAL_TOL:
         raise NumericFailure(
@@ -581,13 +596,13 @@ def regression_correlator(
     b_left: np.ndarray,
     b_right: np.ndarray,
     grid: TimeGrid,
-    dt_int: float | None = None,
 ) -> np.ndarray:
     """Two-time correlator C(tau) = Tr[a exp(L tau)(b_left rho_ss b_right)].
 
     Quantum-regression evolution of the (generally non-Hermitian) operator
     ``b_left @ rho_ss @ b_right`` under the same generator, evaluated on
-    ``grid``.  Returns a complex array.
+    ``grid`` with the internal step of :func:`evolve`.  Returns a complex
+    array.
     """
     d = math.isqrt(l.shape[-1])
     for name, op in (("a", a), ("b_left", b_left), ("b_right", b_right)):
@@ -600,6 +615,6 @@ def regression_correlator(
             f"rho_ss is not stationary for this generator (residual {stationarity:.3e})"
         )
     s0 = np.asarray(b_left, dtype=complex) @ rho_ss @ np.asarray(b_right, dtype=complex)
-    traj = _verified_propagation(l, 0.0, [], s0.reshape(-1, 1), grid, dt_int)
+    traj = _verified_propagation(l, 0.0, [], s0.reshape(-1, 1), grid)
     a_vec = np.asarray(a, dtype=complex).T.reshape(-1)
     return traj[..., 0] @ a_vec

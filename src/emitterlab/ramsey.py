@@ -14,7 +14,6 @@ driven-Rabi fits use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +25,6 @@ from .tls import EXCITED, PROJ_EXCITED, RHO_GROUND, SIGMA_X, SIGMA_Y, TWO_PI
 PULSE_AREA = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class RamseySequence:
-    """Two pi/2 pulses separated by ``delay_tau`` ns.
-
-    ``relative_phase`` is the optical phase of the second pulse relative to
-    the first (radians); the pulse amplitude is derived from the envelope
-    so each pulse has exactly pi/2 area.
-    """
-
-    pulse: tls.PulseEnvelope
-    delay_tau: float
-    relative_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.delay_tau < 0:
-            raise ModelError(f"delay_tau must be >= 0, got {self.delay_tau}")
-
-
 def population_table(
     params: tls.TlsParams, pulse: tls.PulseEnvelope, taus, phases, detuning: float = 0.0
 ) -> np.ndarray:
@@ -53,6 +34,8 @@ def population_table(
     ``taus[i]`` (ns) over the relative phases ``phases`` (radians).
     ``detuning`` is the laser detuning in GHz; it acts during the pulses
     and the free-evolution window.  Decay and dephasing stay on throughout.
+    Each pulse has exactly pi/2 area: its peak amplitude is derived from
+    the envelope.
 
     Every piece is a verified evolution: the first-pulse state once, one
     free evolution per nonzero delay and one batched :func:`qdyn.propagator`
@@ -69,35 +52,30 @@ def population_table(
     )
     t_end = pulse.on_end()
     segments = tls.envelope_segments(pulse, t_end)
-    dt_pulse = tls.internal_step(params, omega)
     # drive couplings at phase 0 (first pulse), then at each relative phase
     ph = np.concatenate([[0.0], phases])[:, None, None]
     couplings = 0.5 * omega * (np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y)
     first = qdyn.evolve_driven(
-        l0, couplings[0], segments, RHO_GROUND, TimeGrid(0.0, t_end, 5), dt_int=dt_pulse
+        l0, couplings[0], segments, RHO_GROUND, TimeGrid(0.0, t_end, 5)
     )[-1]
     free = np.array([
-        qdyn.evolve(
-            l0, first, TimeGrid(0.0, tau, 5), dt_int=tls.internal_step(params, 0.0)
-        )[-1] if tau > 0 else first
+        qdyn.evolve(l0, first, TimeGrid(0.0, tau, 5))[-1] if tau > 0 else first
         for tau in taus
     ])
     d = math.isqrt(l0.shape[-1])
-    maps = qdyn.propagator(l0, couplings[1:], segments, t_end, dt_int=dt_pulse)
+    maps = qdyn.propagator(l0, couplings[1:], segments, t_end)
     finals = (maps[None] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
     qdyn.check_density_matrix(finals, "Ramsey final state")
     return finals[:, EXCITED, EXCITED].real.reshape(taus.size, len(maps))
 
 
 def ramsey_population(
-    params: tls.TlsParams, seq: RamseySequence, detuning: float = 0.0
+    params: tls.TlsParams, pulse: tls.PulseEnvelope, tau: float, phase: float,
+    detuning: float = 0.0,
 ) -> float:
-    """Excited population of one sequence: :func:`population_table` at one
-    delay and one phase."""
-    table = population_table(
-        params, seq.pulse, [seq.delay_tau], [seq.relative_phase], detuning
-    )
-    return float(table[0, 0])
+    """Excited population of one sequence: :func:`population_table` at the
+    one delay ``tau`` (ns) and relative phase ``phase`` (radians)."""
+    return float(population_table(params, pulse, [tau], [phase], detuning)[0, 0])
 
 
 def visibility_curve(

@@ -171,14 +171,6 @@ def _detuned_liouvillians(params: TlsParams, rabi_ghz: float, detunings) -> np.n
     return l0 + delta[:, None, None] * qdyn.hamiltonian_superop(DETUNING)
 
 
-def internal_step(params: TlsParams, omega_angular: float) -> float:
-    """Fixed internal RK4 step: min(t1, t2, 2pi/Omega_g)/200."""
-    scales = [params.t1, params.t2]
-    if omega_angular > 0:
-        scales.append(TWO_PI / omega_angular)
-    return min(scales) / 200.0
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -233,15 +225,7 @@ def normalized_correlator(params: TlsParams, drive: Drive, grid: TimeGrid) -> np
     p_ee = rho_ss[EXCITED, EXCITED].real
     if p_ee < 1e-12:
         raise ModelError("undriven emitter has no correlation function")
-    corr = qdyn.regression_correlator(
-        l,
-        rho_ss,
-        PROJ_EXCITED,
-        SIGMA_MINUS,
-        SIGMA_PLUS,
-        grid,
-        dt_int=internal_step(params, TWO_PI * generalized_rabi(drive)),
-    )
+    corr = qdyn.regression_correlator(l, rho_ss, PROJ_EXCITED, SIGMA_MINUS, SIGMA_PLUS, grid)
     if np.max(np.abs(corr.imag)) > 1e-8:
         raise NumericFailure("g2 correlator acquired an imaginary part")
     return corr.real / p_ee**2
@@ -361,20 +345,16 @@ def rabi_traces(
     each detuning (GHz) of ``detunings``; shape (N, n_points).
 
     Lindblad evolution with Omega(t) = Omega * envelope(t); the detuning
-    stays on throughout.  All detunings are one verified propagation at the
-    step of the largest generalized Rabi frequency.  The grid must start at
-    0 and span at least one pulse period.
+    stays on throughout.  All detunings are one verified propagation.  The
+    grid must start at 0 and span at least one pulse period.
     """
     if abs(grid.t_start) > 1e-12:
         raise ModelError("rabi_trace_numeric grid must start at t = 0")
     if grid.t_end - grid.t_start < pulse.period - 1e-9:
         raise ModelError("grid must span at least one pulse period")
-    fastest = max((generalized_rabi(Drive(rabi_ghz, float(d))) for d in detunings),
-                  default=rabi_ghz)
     rhos = qdyn.evolve_driven(
         _detuned_liouvillians(params, 0.0, detunings), 0.5 * TWO_PI * rabi_ghz * SIGMA_X,
         envelope_segments(pulse, grid.t_end), RHO_GROUND, grid,
-        dt_int=internal_step(params, TWO_PI * fastest),
     )
     return rhos[..., EXCITED, EXCITED].real
 
@@ -428,11 +408,10 @@ def pulsed_rabi_scan(
 ) -> np.ndarray:
     """Post-pulse excited population at each power (nW) of the range.
 
-    One pulse per power, all powers in one verified propagation at the
-    step of the strongest drive; the population is read immediately after
-    the envelope turns off.  For pulse durations much shorter than t1 the
-    curve approaches sin^2(theta/2) with pulse area theta proportional to
-    sqrt(P).
+    One pulse per power, all powers in one verified propagation; the
+    population is read immediately after the envelope turns off.  For pulse
+    durations much shorter than t1 the curve approaches sin^2(theta/2) with
+    pulse area theta proportional to sqrt(P).
     """
     powers = np.asarray(power_range, dtype=float)
     t_read = pulse.on_end()
@@ -441,6 +420,5 @@ def pulsed_rabi_scan(
         qdyn.build_liouvillian(np.zeros((2, 2)), decay_jumps(params)),
         0.5 * omegas[:, None, None] * SIGMA_X, envelope_segments(pulse, t_read),
         RHO_GROUND, TimeGrid(0.0, t_read, 9),
-        dt_int=internal_step(params, float(np.max(omegas, initial=0.0))),
     )
     return rhos[:, -1, EXCITED, EXCITED].real

@@ -177,8 +177,7 @@ class TestEmissionSpectrum:
         rho_ss = qdyn.steady_state(l)
         grid = TimeGrid(0.0, 40.0 * params.t1, 29601)
         corr = qdyn.regression_correlator(
-            l, rho_ss, tls.SIGMA_PLUS, tls.SIGMA_MINUS, np.eye(2), grid,
-            dt_int=tls.internal_step(params, 2 * np.pi * tls.generalized_rabi(drive)),
+            l, rho_ss, tls.SIGMA_PLUS, tls.SIGMA_MINUS, np.eye(2), grid
         )
         c_inc = corr - np.trace(tls.SIGMA_PLUS @ rho_ss) * np.trace(
             tls.SIGMA_MINUS @ rho_ss

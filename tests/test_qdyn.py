@@ -98,10 +98,10 @@ class TestEvolve:
             qdyn.evolve(decay_liouvillian, 2.0 * RHO_E, TimeGrid(0.0, 1.0, 2))
 
     def test_driven_rho0_dimension_mismatch_rejected(self):
-        l0, segments, dt_int, omega = _driven_case("square")
+        l0, segments, _, omega = _driven_case("square")
         with pytest.raises(ModelError, match="dim"):
             qdyn.evolve_driven(l0, 0.5 * omega * tls.SIGMA_X, segments, np.eye(3) / 3,
-                               GRID_20, dt_int=dt_int)
+                               GRID_20)
 
     def test_trajectory_invariants(self):
         # trace, Hermiticity and positivity at every sample
@@ -202,13 +202,20 @@ PULSES = {
 GRID_20 = TimeGrid(0.0, 20.0, 98)
 
 
+def _qdyn_step(l0, coupling):
+    """The base RK4 step qdyn takes under a unit-envelope drive: the
+    undriven and the fully driven generators of the batch are candidates."""
+    driven = l0 + qdyn.hamiltonian_superop(coupling)
+    return qdyn._rk4_step(np.linalg.eigvals(np.stack([l0, driven])))
+
+
 def _driven_case(shape):
     params = tls.TlsParams(1.85, 1.62)
     drive = tls.Drive(rabi_ghz=0.906, detuning_ghz=0.3)
     l0 = tls.tls_liouvillian(params, tls.Drive(0.0, drive.detuning_ghz))
     omega = tls.TWO_PI * drive.rabi_ghz
     segments = tls.envelope_segments(PULSES[shape], GRID_20.t_end)
-    return l0, segments, tls.internal_step(params, omega), omega
+    return l0, segments, _qdyn_step(l0, 0.5 * omega * tls.SIGMA_X), omega
 
 
 class TestDrivenKernel:
@@ -217,20 +224,17 @@ class TestDrivenKernel:
         l0, segments, dt_int, omega = _driven_case(shape)
         coupling = 0.5 * omega * tls.SIGMA_X
         expected = _reference_evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int)
-        rhos = qdyn.evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int=dt_int)
+        rhos = qdyn.evolve_driven(l0, coupling, segments, RHO_G, GRID_20)
         assert np.max(np.abs(rhos - expected)) < 1e-12
 
     @pytest.mark.parametrize("shape", sorted(PULSES))
     def test_propagator_matches_evolve_driven(self, shape):
-        l0, segments, dt_int, omega = _driven_case(shape)
-        # a step fine enough that both step-halving checks accept the same
-        # refinement: the map's norm sums |dM| over a row of four entries
-        dt_int /= 2
+        l0, segments, _, omega = _driven_case(shape)
         coupling = 0.5 * omega * tls.SIGMA_Y
         rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
         grid = TimeGrid(0.0, GRID_20.t_end, 2)
-        last = qdyn.evolve_driven(l0, coupling, segments, rho0, grid, dt_int=dt_int)[-1]
-        m = qdyn.propagator(l0, coupling, segments, grid.t_end, dt_int=dt_int)
+        last = qdyn.evolve_driven(l0, coupling, segments, rho0, grid)[-1]
+        m = qdyn.propagator(l0, coupling, segments, grid.t_end)
         assert m.shape == (4, 4)
         assert np.max(np.abs(m @ rho0.reshape(-1) - last.reshape(-1))) < 1e-12
 
@@ -267,10 +271,9 @@ class TestDrivenKernel:
         l0 = np.array([tls.tls_liouvillian(params, tls.Drive(0.0, d.detuning_ghz))
                        for d in drives])
         couplings = np.array([0.5 * tls.TWO_PI * d.rabi_ghz * tls.SIGMA_X for d in drives])
-        dt_int = min(tls.internal_step(params, tls.TWO_PI * tls.generalized_rabi(d))
-                     for d in drives)
+        dt_int = _qdyn_step(l0, couplings)
         segments = tls.envelope_segments(PULSES[shape], GRID_20.t_end)
-        rhos = qdyn.evolve_driven(l0, couplings, segments, RHO_G, GRID_20, dt_int=dt_int)
+        rhos = qdyn.evolve_driven(l0, couplings, segments, RHO_G, GRID_20)
         assert rhos.shape == (3, GRID_20.n_points, 2, 2)
         for m0, coupling, member in zip(l0, couplings, rhos):
             expected = _reference_evolve_driven(m0, coupling, segments, RHO_G, GRID_20,
@@ -280,11 +283,10 @@ class TestDrivenKernel:
     def test_misaligned_samples_rejected(self):
         from emitterlab.errors import NumericFailure
 
-        l0, segments, dt_int, omega = _driven_case("square")
+        l0, segments, _, omega = _driven_case("square")
         grid = TimeGrid(0.0, 1e-14, 3)  # samples collapse when rounded
         with pytest.raises(NumericFailure, match="misalignment"):
-            qdyn.evolve_driven(l0, 0.5 * omega * tls.SIGMA_X, segments, RHO_G, grid,
-                               dt_int=dt_int)
+            qdyn.evolve_driven(l0, 0.5 * omega * tls.SIGMA_X, segments, RHO_G, grid)
 
 
 def _eigenvalue_null_count(stack):
@@ -385,9 +387,11 @@ class TestSteadyState:
         for l, rho, expected in zip(ls, rhos, direct):
             assert np.linalg.norm(l @ rho.reshape(-1)) < 1e-10
             assert np.max(np.abs(rho - expected)) < 1e-8
-        # the fallback finds its decay rates point by point, never on the stack
+        # the fallback finds its decay rates point by point, never on the stack,
+        # and takes its horizon and its step from one decomposition per point
         assert eigvals_shapes
         assert all(math.prod(shape[:-2]) == 1 for shape in eigvals_shapes)
+        assert len(eigvals_shapes) == len(ls)
 
     def test_eigvals_runs_only_on_fallback_points(self, monkeypatch):
         eigvals_shapes = _count_eigvals_calls(monkeypatch)
@@ -448,8 +452,7 @@ class TestRegressionCorrelator:
         l = tls.tls_liouvillian(params, drive)
         rho_ss = qdyn.steady_state(l)
         corr = qdyn.regression_correlator(
-            l, rho_ss, tls.PROJ_EXCITED, tls.SIGMA_MINUS, tls.SIGMA_PLUS, grid,
-            dt_int=tls.internal_step(params, 2 * np.pi * 0.906),
+            l, rho_ss, tls.PROJ_EXCITED, tls.SIGMA_MINUS, tls.SIGMA_PLUS, grid
         )
         normalized = corr.real / rho_ss[1, 1].real ** 2
         g2 = photostats.g2_curve(params, drive, grid)
@@ -469,7 +472,7 @@ class TestNumericGuards:
         from emitterlab.errors import NumericFailure
 
         with pytest.raises(NumericFailure, match="underflow"):
-            qdyn.evolve(decay_liouvillian, RHO_E, TimeGrid(0.0, 1.0, 2), dt_int=0.0)
+            qdyn._evolve(decay_liouvillian, 0.0, [], RHO_E, TimeGrid(0.0, 1.0, 2), 0.0)
 
 
 class TestTimeGrid:

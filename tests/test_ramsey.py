@@ -13,20 +13,17 @@ PULSE = tls.PulseEnvelope("square", 0.01, 1.0)
 class TestRamseyPopulation:
     def test_back_to_back_pulses_invert(self):
         params = tls.TlsParams(1.85, 1.62)
-        seq = ramsey.RamseySequence(PULSE, 0.0, 0.0)
-        assert ramsey.ramsey_population(params, seq) > 0.97
+        assert ramsey.ramsey_population(params, PULSE, 0.0, 0.0) > 0.97
 
     def test_opposed_pulses_cancel(self):
         params = tls.TlsParams(1.85, 1.62)
-        seq = ramsey.RamseySequence(PULSE, 0.0, np.pi)
-        assert ramsey.ramsey_population(params, seq) < 0.03
+        assert ramsey.ramsey_population(params, PULSE, 0.0, np.pi) < 0.03
 
     def test_phase_scan_is_sinusoidal(self):
         params = tls.TlsParams(1.85, 1.62)
         phases = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
         pops = np.array([
-            ramsey.ramsey_population(params, ramsey.RamseySequence(PULSE, 0.4, p))
-            for p in phases
+            ramsey.ramsey_population(params, PULSE, 0.4, p) for p in phases
         ])
         # project onto the fundamental: residual of mean + cos + sin is tiny
         design = np.column_stack([np.ones_like(phases), np.cos(phases),
@@ -38,15 +35,13 @@ class TestRamseyPopulation:
 
     def test_two_pi_periodic(self):
         params = tls.TlsParams(1.85, 1.62)
-        a = ramsey.ramsey_population(params, ramsey.RamseySequence(PULSE, 0.5, 1.234))
-        b = ramsey.ramsey_population(
-            params, ramsey.RamseySequence(PULSE, 0.5, 1.234 + 2 * np.pi)
-        )
+        a = ramsey.ramsey_population(params, PULSE, 0.5, 1.234)
+        b = ramsey.ramsey_population(params, PULSE, 0.5, 1.234 + 2 * np.pi)
         assert abs(a - b) < 1e-10
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ModelError):
-            ramsey.RamseySequence(PULSE, -0.1)
+        with pytest.raises(ModelError, match="delay_tau"):
+            ramsey.ramsey_population(tls.TlsParams(1.85, 1.62), PULSE, -0.1, 0.0)
 
 
 class TestVisibilityCurve:
@@ -96,13 +91,11 @@ def _chained_population(params, pulse, tau, phase, detuning):
 
     def run_pulse(ph, rho):
         coupling = 0.5 * omega * (math.cos(ph) * tls.SIGMA_X + math.sin(ph) * tls.SIGMA_Y)
-        return qdyn.evolve_driven(l0, coupling, segments, rho, TimeGrid(0.0, t_end, 5),
-                                  dt_int=tls.internal_step(params, omega))[-1]
+        return qdyn.evolve_driven(l0, coupling, segments, rho, TimeGrid(0.0, t_end, 5))[-1]
 
     rho = run_pulse(0.0, tls.RHO_GROUND)
     if tau > 0:
-        rho = qdyn.evolve(l0, rho, TimeGrid(0.0, tau, 5),
-                          dt_int=tls.internal_step(params, 0.0))[-1]
+        rho = qdyn.evolve(l0, rho, TimeGrid(0.0, tau, 5))[-1]
     return run_pulse(phase, rho)[1, 1].real
 
 
@@ -129,10 +122,22 @@ class TestComposedMaps:
         table = ramsey.population_table(params, pulse, [0.5], phases, -0.1)
         assert table.shape == (1, 64)
         assert np.max(np.abs(table[0] - expected)) <= 1e-9
-        single = ramsey.ramsey_population(
-            params, ramsey.RamseySequence(pulse, 0.5, phases[5]), -0.1
-        )
+        single = ramsey.ramsey_population(params, pulse, 0.5, phases[5], -0.1)
         assert single == table[0, 5]
+
+    @pytest.mark.parametrize("t2", [0.78, 1.0, 1.62])
+    @pytest.mark.parametrize("fwhm", [0.03, 0.05, 0.07])
+    def test_scan_member_equals_lone_run(self, t2, fwhm):
+        # a phase of the 64-phase scan, run alone, gives the same bits: the
+        # shaped pulse chains each member's steps alike in any batch
+        params = tls.TlsParams(1.85, t2)
+        pulse = tls.PulseEnvelope("gaussian", fwhm, 1.0)
+        phases = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        for detuning in (-0.1, 0.0, 0.25):
+            table = ramsey.population_table(params, pulse, [0.5], phases, detuning)
+            for k in (5, 21, 42):
+                single = ramsey.ramsey_population(params, pulse, 0.5, phases[k], detuning)
+                assert single == table[0, k], (detuning, k)
 
     def test_negative_delay_in_scan_rejected(self):
         with pytest.raises(ModelError, match="delay_tau"):
