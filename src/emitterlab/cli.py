@@ -8,8 +8,10 @@ One emitter writes what every experiment's compute returns: a CSV document
 per table (metadata lines carrying the artifact version and a config
 hash), a fit report when the experiment includes a fit and an SVG plot
 with ``--plot``.  Exit codes: 0 success, 2 configuration error (message
-names the offending key), 3 numeric failure (including running out of
-memory), 1 filesystem error (an unreadable input or an unwritable output).
+names the offending key, or every key of a violated cross-key
+constraint), 3 numeric failure (including arithmetic overflow and running
+out of memory), 1 filesystem error (an unreadable input or an unwritable
+output).
 """
 
 from __future__ import annotations
@@ -122,30 +124,20 @@ def run(
             return 2
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items()})
-    name = experiment or raw.get("experiment")
-    if not name:
-        print("error: config key 'experiment': missing", file=sys.stderr)
-        return 2
-    if experiment and "experiment" in raw and raw["experiment"] != experiment:
-        print(
-            f"error: config key 'experiment': '{raw['experiment']}' does not match "
-            f"subcommand '{experiment}'",
-            file=sys.stderr,
-        )
-        return 2
-    if seed is not None and name in EXPERIMENTS and "seed" in EXPERIMENTS[name].schema:
-        raw["seed"] = str(seed)
     try:
-        cfg = validate_config(name, raw)
+        cfg = validate_config(experiment, raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if seed is not None and "seed" in cfg:
+        cfg["seed"] = seed
+    name = experiment or raw["experiment"]
     out = Path(outdir) if outdir is not None else default_outdir()
     try:
         out.mkdir(parents=True, exist_ok=True)
         result = EXPERIMENTS[name].compute(cfg)
         _emit(name, cfg, result, out, plot)
-    except (NumericFailure, ModelError) as exc:
+    except (NumericFailure, ModelError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
@@ -443,14 +435,11 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             raw = load_config(args.config)
-            name = raw.get("experiment")
-            if not name:
-                raise ConfigError("experiment", "missing")
-            validate_config(name, raw)
+            validate_config(None, raw)
         except (OSError, ConfigError) as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 2
-        print(f"ok: valid '{name}' config")
+        print(f"ok: valid '{raw['experiment']}' config")
         return 0
     if args.command == "reproduce-all":
         return reproduce_all(args.out, plot=args.plot)

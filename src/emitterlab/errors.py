@@ -15,8 +15,11 @@ class NumericFailure(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; names the offending key."""
+    """Invalid experiment configuration; names the offending key, or every
+    key of a violated cross-key constraint."""
 
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key '{key}': {message}")
-        self.key = key
+    def __init__(self, keys, message: str):
+        self.keys = (keys,) if isinstance(keys, str) else tuple(keys)
+        names = ", ".join(f"'{key}'" for key in self.keys)
+        plural = "s" if len(self.keys) > 1 else ""
+        super().__init__(f"config key{plural} {names}: {message}")

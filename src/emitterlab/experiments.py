@@ -4,9 +4,12 @@ A schema gives every config key its type and default, plus the allowed
 choices or the minimum where a module precondition exists.  Every key has
 a default matching the reference emitter conditions (t1 = 1.85 ns,
 t2 = 1.62 ns, p_sat = 20 nW), so a config may be as short as the
-experiment name.  :func:`validate_config` rejects unknown keys and checks
-every value against the schema and the module preconditions before any
-computation starts.
+experiment name.  A precondition that spans several keys is one entry of
+:data:`CONSTRAINTS`: the keys it reads and the domain constructor that
+checks them.  :func:`validate_config` rejects unknown keys, checks every
+value against the schema and runs every constraint whose keys the schema
+holds, all before any computation starts; a violated constraint names
+all of its keys.
 
 ``compute(cfg)`` returns a :class:`Result`: the tables, an optional fit,
 a plot spec, the summary line and the data the cookbook checks.  It writes
@@ -15,6 +18,7 @@ no files; the CLI's single emitter does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -127,8 +131,43 @@ _IRF_SIGMA = Key(float, 0.0, minimum=0.0)
 # -- validation ----------------------------------------------------------------
 
 
-def validate_config(experiment: str, raw: dict) -> dict:
-    """Typed config of ``experiment`` from raw ``key -> text`` pairs."""
+def _branch_rate(gamma: float, t1: float) -> float:
+    """A radiative rate (ns^-1); a negative one derives equal branching, 1/(2 t1)."""
+    return gamma if gamma >= 0 else 0.5 / t1
+
+
+# Cross-key constraints: the config keys each one reads and the domain
+# constructor that checks them, called with those keys' values in order.
+# An entry whose keys are a subset of an earlier one's serves the schemas
+# that hold only those keys; after the earlier one has passed it cannot fail.
+CONSTRAINTS = (
+    (("t1_ns", "t2_ns"), tls.TlsParams),
+    (("t1_ns",), lambda t1: tls.TlsParams(t1, t1)),  # fit: the Rabi fit starts at t2 = t1
+    (("pulse_shape", "pulse_ns", "period_ns", "rise_ns"), tls.PulseEnvelope),
+    (("pulse_shape", "pulse_ns", "period_ns"), tls.PulseEnvelope),
+    (("pulse_ns", "period_ns"), functools.partial(tls.PulseEnvelope, "square")),
+    (("t_max_ns", "n_points"), functools.partial(TimeGrid, 0.0)),
+    (("tau_max_ns", "n_points"), functools.partial(TimeGrid, 0.0)),
+    (("gamma_c_per_ns", "gamma_d_per_ns", "t1_ns"),
+     lambda gc, gd, t1: lambda_system.LambdaParams(_branch_rate(gc, t1),
+                                                   _branch_rate(gd, t1))),
+    (("p_sat_nw",), tls.PowerCalib),
+)
+
+
+def validate_config(experiment: str | None, raw: dict) -> dict:
+    """Typed config from raw ``key -> text`` pairs.
+
+    The experiment is ``experiment``, or the ``experiment`` key of ``raw``
+    when ``experiment`` is None; when both are given they must agree.
+    """
+    named = raw.get("experiment")
+    if experiment is not None and named is not None and named != experiment:
+        raise ConfigError("experiment",
+                          f"'{named}' does not match subcommand '{experiment}'")
+    experiment = experiment or named
+    if not experiment:
+        raise ConfigError("experiment", "missing")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment '{experiment}'")
     schema = EXPERIMENTS[experiment].schema
@@ -142,7 +181,12 @@ def validate_config(experiment: str, raw: dict) -> dict:
     for name, key in schema.items():
         if key.default is None and not cfg[name]:
             raise ConfigError(name, "a value is required")
-    _precheck(cfg)
+    for keys, build in CONSTRAINTS:
+        if all(key in cfg for key in keys):
+            try:
+                build(*(cfg[key] for key in keys))
+            except ModelError as exc:
+                raise ConfigError(keys, str(exc)) from exc
     return cfg
 
 
@@ -151,15 +195,9 @@ def _params(cfg) -> tls.TlsParams:
 
 
 def _lambda_params(cfg) -> lambda_system.LambdaParams:
-    gc = cfg["gamma_c_per_ns"]
-    gd = cfg["gamma_d_per_ns"]
-    if gc < 0:
-        gc = 0.5 / cfg["t1_ns"]
-    if gd < 0:
-        gd = 0.5 / cfg["t1_ns"]
     return lambda_system.LambdaParams(
-        gamma_c=gc,
-        gamma_d=gd,
+        gamma_c=_branch_rate(cfg["gamma_c_per_ns"], cfg["t1_ns"]),
+        gamma_d=_branch_rate(cfg["gamma_d_per_ns"], cfg["t1_ns"]),
         gamma_ground=cfg["gamma_ground_per_ns"],
         gamma_phi_e=cfg["gamma_phi_e_per_ns"],
         gamma_phi_g=cfg["gamma_phi_g_per_ns"],
@@ -176,38 +214,6 @@ def _lambda_rabis(cfg) -> tuple:
     if omega_d < 0:
         omega_d = tls.power_to_rabi(calib, params, cfg["probe_power_nw"])
     return omega_c, omega_d
-
-
-def _checked(key: str, build, *args, **kwargs):
-    try:
-        return build(*args, **kwargs)
-    except ModelError as exc:
-        raise ConfigError(key, str(exc)) from exc
-
-
-def _precheck(cfg: dict):
-    """Build the cheap domain objects so cross-key preconditions fail early."""
-    if "t1_ns" in cfg and not cfg["t1_ns"] > 0:
-        raise ConfigError("t1_ns", f"t1 must be positive, got {cfg['t1_ns']}")
-    if "t1_ns" in cfg and "t2_ns" in cfg:
-        _checked("t2_ns", _params, cfg)
-    if "pulse_ns" in cfg:
-        _checked(
-            "pulse_ns",
-            tls.PulseEnvelope,
-            shape=cfg.get("pulse_shape", "square"),
-            duration=cfg["pulse_ns"],
-            period=cfg["period_ns"],
-            rise_time=cfg.get("rise_ns", 0.0),
-        )
-    if "n_points" in cfg and "tau_max_ns" in cfg:
-        _checked("n_points", TimeGrid, 0.0, cfg["tau_max_ns"], cfg["n_points"])
-    if "n_points" in cfg and "t_max_ns" in cfg:
-        _checked("n_points", TimeGrid, 0.0, cfg["t_max_ns"], cfg["n_points"])
-    if "gamma_c_per_ns" in cfg:
-        _checked("gamma_c_per_ns", _lambda_params, cfg)
-    if "p_sat_nw" in cfg:
-        _checked("p_sat_nw", tls.PowerCalib, cfg["p_sat_nw"])
 
 
 # -- experiments ---------------------------------------------------------------
@@ -518,7 +524,7 @@ def _ramsey(cfg):
     "lifetime",
     **_tls_keys(),
     t_max_ns=Key(float, 10.0),
-    n_points=Key(int, 201),
+    n_points=Key(int, 201, minimum=4),  # the exponential fit needs 4 points
 )
 def _lifetime(cfg):
     grid = TimeGrid(0.0, cfg["t_max_ns"], cfg["n_points"])

@@ -95,6 +95,7 @@ class TestConfigParsing:
             ("autler_map", "n_c", 0),
             ("autler_map", "n_d", -1),
             ("autler_scan", "n_points", 0),
+            ("lifetime", "n_points", 3),
         ]
     ])
     def test_size_minimum_exits_2_before_compute(self, tmp_path, capsys,
@@ -103,6 +104,30 @@ class TestConfigParsing:
                        overrides={key: value}) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", [
+        name for name in cli.EXPERIMENTS if name not in ("fit", "synth")
+    ])
+    def test_config_error_names_the_overridden_key(self, experiment):
+        # single-key overrides through validation alone: a rejected value is
+        # reported against its own key, also when a cross-key constraint fails
+        values = {float: ("0", "-1", "1e-300", "1e300", "1e-9", "1e9"),
+                  int: ("0", "1", "2", "3")}
+        misnamed = []
+        for key, spec in cli.EXPERIMENTS[experiment].schema.items():
+            for value in values.get(spec.type, ()):
+                try:
+                    cli.validate_config(experiment, {key: value})
+                except cli.ConfigError as exc:
+                    if f"'{key}'" not in str(exc):
+                        misnamed.append(f"{key}={value}: {exc}")
+        assert misnamed == []
+
+    def test_cross_key_constraint_names_every_key(self):
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.validate_config("g2", {"t1_ns": "0.5"})
+        assert exc.value.keys == ("t1_ns", "t2_ns")
+        assert str(exc.value).startswith("config keys 't1_ns', 't2_ns': ")
 
     def test_non_positive_t1_names_t1(self, tmp_path, capsys):
         assert cli.run(experiment="g2", outdir=tmp_path / "out",
@@ -472,6 +497,20 @@ class TestErrorPaths:
         height, width, _ = _png_pixels(image["href"]).shape
         assert (width, height) == ((61, 1) if key == "n_c" else (1, 61))
         assert float(image["width"]) > 0 and float(image["height"]) > 0
+
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("rabi_analytic", "t2_ns", 1e-300),
+        ("rabi_analytic", "rabi_ghz", 1e300),
+        ("rabi_analytic", "detuning_ghz", 1e300),
+        ("pulsed_rabi", "pulse_ns", 1e-300),
+    ])
+    def test_arithmetic_overflow_exits_3(self, tmp_path, capsys, experiment, key, value):
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: value}) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):

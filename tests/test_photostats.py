@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emitterlab import peaks, photostats, qdyn, tls
-from emitterlab.errors import ModelError
+from emitterlab.errors import ModelError, NumericFailure
 from emitterlab.qdyn import TimeGrid, TimeTrace
 
 
@@ -43,6 +43,12 @@ class TestG2Curve:
             photostats.g2_curve(
                 tls.TlsParams(1.85, 1.62), tls.Drive(0.9), TimeGrid(-1.0, 1.0, 11)
             )
+
+    def test_negative_correlator_is_a_numeric_failure(self, monkeypatch):
+        monkeypatch.setattr(tls, "normalized_correlator",
+                            lambda params, drive, grid: np.linspace(1.0, -1e-6, grid.n_points))
+        with pytest.raises(NumericFailure, match="g2 went negative: min -1.000e-06"):
+            make_g2()
 
 
 class TestApplyIrf:
@@ -190,6 +196,15 @@ class TestEmissionSpectrum:
         )
         spectrum = photostats.emission_spectrum(params, drive, freqs)
         assert np.max(np.abs(spectrum - reference)) <= 1e-5 * reference.max()
+
+    def test_negative_spectrum_is_a_numeric_failure(self, monkeypatch):
+        # the projection on sigma+ negated: every intensity comes out below zero
+        monkeypatch.setattr(photostats, "SIGMA_PLUS", -tls.SIGMA_PLUS)
+        with pytest.raises(NumericFailure,
+                           match="emission spectrum went negative beyond tolerance"):
+            photostats.emission_spectrum(
+                tls.TlsParams(1.85, 1.62), tls.Drive(1.0), np.linspace(-3.0, 3.0, 61)
+            )
 
     def test_bad_frequency_axis_rejected(self):
         with pytest.raises(ModelError, match="increasing"):

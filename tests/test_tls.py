@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emitterlab import fitkit, photostats, qdyn, tls
-from emitterlab.errors import ModelError
+from emitterlab.errors import ModelError, NumericFailure
 from emitterlab.qdyn import TimeGrid, TimeTrace
 
 
@@ -76,6 +76,14 @@ class TestAnalyticPopulation:
         numeric = tls.normalized_correlator(emitter_params, drive, grid)
         analytic = tls.rabi_population_analytic(emitter_params, drive, grid.times())
         assert np.sqrt(np.mean((numeric - analytic) ** 2)) < 1e-6
+
+    def test_imaginary_correlator_is_a_numeric_failure(self, emitter_params, monkeypatch):
+        original = qdyn.regression_correlator
+        monkeypatch.setattr(qdyn, "regression_correlator",
+                            lambda *args: original(*args) + 1e-6j)
+        with pytest.raises(NumericFailure, match="g2 correlator acquired an imaginary part"):
+            tls.normalized_correlator(emitter_params, tls.Drive(0.906),
+                                      TimeGrid(0.0, 10.0, 101))
 
     def test_overdamped_continuation_is_finite(self):
         # obe-mode mu is imaginary when Omega_g < |1/(2T1) - 1/(2T2)|
