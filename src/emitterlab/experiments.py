@@ -136,6 +136,12 @@ def _branch_rate(gamma: float, t1: float) -> float:
     return gamma if gamma >= 0 else 0.5 / t1
 
 
+def _increasing(low: float, high: float) -> None:
+    """A scan range runs from ``low`` up to ``high``."""
+    if not low < high:
+        raise ModelError(f"scan range needs min < max, got [{low:g}, {high:g}]")
+
+
 # Cross-key constraints: the config keys each one reads and the domain
 # constructor that checks them, called with those keys' values in order.
 # An entry whose keys are a subset of an earlier one's serves the schemas
@@ -148,6 +154,12 @@ CONSTRAINTS = (
     (("pulse_ns", "period_ns"), functools.partial(tls.PulseEnvelope, "square")),
     (("t_max_ns", "n_points"), functools.partial(TimeGrid, 0.0)),
     (("tau_max_ns", "n_points"), functools.partial(TimeGrid, 0.0)),
+    (("tau_max_ns", "n_taus"), functools.partial(TimeGrid, 0.0)),
+    (("f_min_ghz", "f_max_ghz"), _increasing),
+    (("delta_min_ghz", "delta_max_ghz"), _increasing),
+    (("delta_c_min_ghz", "delta_c_max_ghz"), _increasing),
+    (("delta_d_min_ghz", "delta_d_max_ghz"), _increasing),
+    (("span_ghz",), lambda span: _increasing(-span / 2, span / 2)),
     (("gamma_c_per_ns", "gamma_d_per_ns", "t1_ns"),
      lambda gc, gd, t1: lambda_system.LambdaParams(_branch_rate(gc, t1),
                                                    _branch_rate(gd, t1))),

@@ -34,7 +34,8 @@ propagation, check every sample of every member.
 stack of them: inputs, steady states and composed states are held to
 ``HERMITICITY_TOL`` and raise :class:`ModelError`; sampled trajectories
 are held to ``TRAJECTORY_HERMITICITY_TOL`` and raise
-:class:`NumericFailure`.
+:class:`NumericFailure`.  Positivity takes a 2x2 matrix's least eigenvalue in
+closed form, (p + q)/2 - hypot((p - q)/2, |c|), and ``eigvalsh`` for d > 2.
 """
 
 from __future__ import annotations
@@ -130,10 +131,18 @@ def check_density_matrix(
     herm = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))), initial=0.0)
     if herm > herm_tol:
         raise error(f"{name} is not Hermitian within {herm_tol} (deviation {herm:.3e})")
-    eigmin = np.min(np.linalg.eigvalsh(rho), initial=0.0)
+    eigmin = np.min(_min_eigenvalue(rho), initial=0.0)
     if eigmin < -EIGENVALUE_TOL:
         raise error(f"{name} has an eigenvalue {eigmin:.3e} below -{EIGENVALUE_TOL}")
     return rho
+
+
+def _min_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """Least eigenvalue per matrix, read from the lower triangle as eigvalsh does."""
+    if rho.shape[-1] != 2:
+        return np.linalg.eigvalsh(rho)[..., 0]
+    p, q = rho[..., 0, 0].real, rho[..., 1, 1].real
+    return 0.5 * (p + q) - np.hypot(0.5 * (p - q), np.abs(rho[..., 1, 0]))
 
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
@@ -528,16 +537,33 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
     """Unique stationary density matrices of a stack of generator matrices.
 
     ``matrices`` has shape (N, d^2, d^2); the result has shape (N, d, d).
-    All points are solved in one stacked linear solve, with the first row
-    of each vectorized system replaced by the trace constraint.  A point
-    whose solve fails the residual check falls back to long-time
-    integration.  A point with other than one singular value below
-    ``STATIONARY_NULL_TOL`` x max(largest, 1) raises :class:`ModelError`.
+    One stacked solve inverts each A, L with its first row replaced by the
+    trace constraint; column 0 is the state.  That certifies a point unique,
+    one singular value of L below the cut ``STATIONARY_NULL_TOL`` x
+    max(largest, 1), when 1/|A^-1|_F <= sigma_min(A) <= sigma_2(L) is above
+    twice the cut (at most one) and sqrt(d) |L x| >= sigma_min(L) is below
+    it (at least one).  Other points have their singular values counted; a
+    count other than one raises :class:`ModelError`.  A point whose
+    residual fails ``STEADY_STATE_RESIDUAL_TOL`` is integrated instead.
     """
     m = np.asarray(matrices, dtype=complex)
     n, d2 = m.shape[:2]
     d = math.isqrt(d2)
-    sv = np.linalg.svd(m, compute_uv=False)
+    a = m.copy()
+    a[:, 0, :] = 0.0
+    a[:, 0, :: d + 1] = 1.0
+    try:
+        inv = np.linalg.solve(a, np.broadcast_to(np.eye(d2, dtype=complex), a.shape))
+    except np.linalg.LinAlgError:
+        inv = np.full(a.shape, np.nan, dtype=complex)
+    vecs = inv[..., 0].copy()
+    residual = np.linalg.norm((m @ vecs[..., None])[..., 0], axis=1)
+    scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: not certified
+        # the bound at twice the cut absorbs its own rounding
+        certified = (np.linalg.norm(inv, axis=(1, 2)) * scale < 0.5 / STATIONARY_NULL_TOL) & (
+            residual * math.sqrt(d) < STATIONARY_NULL_TOL)
+    sv = np.linalg.svd(m[~certified], compute_uv=False)
     n_null = np.sum(sv < STATIONARY_NULL_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
     if np.any(n_null != 1):
         raise ModelError(
@@ -545,16 +571,6 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
             "state is not unique. Integrate for a long time from a chosen "
             "initial state instead."
         )
-    a = m.copy()
-    a[:, 0, :] = 0.0
-    a[:, 0, :: d + 1] = 1.0
-    b = np.zeros((n, d2, 1), dtype=complex)
-    b[:, 0] = 1.0
-    try:
-        vecs = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        vecs = np.full((n, d2), np.nan, dtype=complex)
-    residual = np.linalg.norm((m @ vecs[..., None])[..., 0], axis=1)
     rhos = vecs.reshape(n, d, d)
     for i in np.flatnonzero(~(residual < STEADY_STATE_RESIDUAL_TOL)):
         rhos[i] = _integrated_steady_state(m[i])

@@ -123,6 +123,24 @@ class TestConfigParsing:
                         misnamed.append(f"{key}={value}: {exc}")
         assert misnamed == []
 
+    @pytest.mark.parametrize("experiment,key,value,keys", [
+        ("ramsey", "tau_max_ns", 0, ("tau_max_ns", "n_taus")),
+        ("ramsey", "tau_max_ns", -1, ("tau_max_ns", "n_taus")),
+        ("mollow_spectrum", "f_min_ghz", 1e9, ("f_min_ghz", "f_max_ghz")),
+        ("autler_scan", "delta_min_ghz", 1e9, ("delta_min_ghz", "delta_max_ghz")),
+        ("autler_map", "delta_c_min_ghz", 1e9, ("delta_c_min_ghz", "delta_c_max_ghz")),
+        ("lineshape", "span_ghz", -1, ("span_ghz",)),
+    ])
+    def test_empty_or_reversed_range_exits_2(self, tmp_path, capsys,
+                                            experiment, key, value, keys):
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: value}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key")
+        assert all(f"'{name}'" in err for name in keys)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_cross_key_constraint_names_every_key(self):
         with pytest.raises(cli.ConfigError) as exc:
             cli.validate_config("g2", {"t1_ns": "0.5"})
@@ -555,6 +573,22 @@ class TestScanEngineCalls:
         cfg = validate_config(experiment, {k: str(v) for k, v in overrides.items()})
         cli.EXPERIMENTS[experiment].compute(cfg)
         assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize("experiment", [
+        "autler_map", "autler_scan", "lineshape", "g2", "mollow_spectrum",
+    ])
+    def test_stationary_computes_certify_without_svd(self, monkeypatch, experiment):
+        # the solve's own inverse certifies every default point unique, so no
+        # point reaches the singular value decomposition
+        points, svd = [], np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            points.append(math.prod(np.shape(a)[:-2]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cli.EXPERIMENTS[experiment].compute(cli.validate_config(experiment, {}))
+        assert sum(points) == 0
 
 
 class TestReproduceAll:

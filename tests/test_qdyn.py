@@ -46,6 +46,40 @@ class TestCheckDensityMatrix:
             qdyn.check_density_matrix(stack, "trajectory", 1e-12, NumericFailure)
         qdyn.check_density_matrix(stack, "trajectory", 1e-10, NumericFailure)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_negative_eigenvalue_rejected(self, d, stacked):
+        # finite, unit trace and Hermitian, but one eigenvalue is -1e-6
+        populations = np.full(d, 1.0 / (d - 1))
+        populations[0] = -1e-6
+        populations[1:] += 1e-6 / (d - 1)
+        rho = _rotated(populations, np.random.default_rng(d))
+        if stacked:
+            mixed = np.eye(d, dtype=complex) / d
+            rho = np.array([mixed, rho, mixed])
+        with pytest.raises(ModelError, match=r"has an eigenvalue -1\.000e-06 below -1e-09"):
+            qdyn.check_density_matrix(rho)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_two_level_eigenvalue_matches_eigvalsh(self, seed):
+        # random PSD and near-PSD 2x2 states, the smaller population spread
+        # over [-1e-6, 0.5]; the upper triangle is off by up to 1e-11, which
+        # both read past (eigvalsh reads the lower triangle)
+        rng = np.random.default_rng(seed)
+        low = np.concatenate([rng.uniform(-1e-6, 1e-6, 500), rng.uniform(0.0, 0.5, 500)])
+        rhos = np.array([_rotated(np.array([p, 1.0 - p]), rng) for p in low])
+        rhos[:, 0, 1] += 1e-11 * rng.standard_normal((low.size, 2)) @ [1.0, 1.0j]
+        closed = qdyn._min_eigenvalue(rhos)
+        assert np.max(np.abs(closed - np.linalg.eigvalsh(rhos)[:, 0])) <= 1e-15
+
+
+def _rotated(populations: np.ndarray, rng) -> np.ndarray:
+    """Hermitian U diag(populations) U+ for a random unitary U."""
+    d = populations.size
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rho = (u * populations) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
 
 class TestBuildLiouvillian:
     def test_zero_generator_maps_to_zero(self):
@@ -316,6 +350,12 @@ def _weak_damping_ladder():
     return np.concatenate(tls_stack), np.concatenate(lambda_stack)
 
 
+def _singular_value_null_count(stack: np.ndarray) -> np.ndarray:
+    """Singular values below STATIONARY_NULL_TOL x max(largest, 1), per generator."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sv < qdyn.STATIONARY_NULL_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
+
+
 def _count_eigvals_calls(monkeypatch) -> list:
     """Shapes of the arrays passed to np.linalg.eigvals from now on."""
     shapes, eigvals = [], np.linalg.eigvals
@@ -357,6 +397,12 @@ class TestSteadyState:
         l = qdyn.build_liouvillian(np.diag([0.0, 1.0]), [])
         with pytest.raises(ModelError, match="stationary"):
             qdyn.steady_state(l)
+
+    def test_generator_without_stationary_state_rejected(self):
+        # a trace-losing generator: every state decays, nothing is stationary
+        l = drive_liouvillian(1.85, 1.62, 0.5) - 0.1 * np.eye(4)
+        with pytest.raises(ModelError, match="stationary subspace has dimension 0;"):
+            qdyn.steady_states(np.array([drive_liouvillian(1.85, 1.62, 0.5), l]))
 
     def test_stack_with_degenerate_point_rejected(self):
         good = drive_liouvillian(1.85, 1.62, 0.5)
@@ -417,6 +463,24 @@ class TestSteadyState:
                 # the doubled cut may count one more near-null direction
                 # than the eigenvalues do (108 of the 8182 rejections)
                 assert int(dimension.group(1)) >= reference[i]
+
+    def test_uniqueness_decisions_match_singular_value_count(self, monkeypatch):
+        # the certificate from the solve's inverse accepts exactly the points
+        # that one singular value below the cut accepts, and a rejected point
+        # reports the same dimension; the fallback is stubbed, since only the
+        # decision is under test
+        monkeypatch.setattr(qdyn, "_integrated_steady_state",
+                            lambda m: np.eye(math.isqrt(m.shape[0])) / math.isqrt(m.shape[0]))
+        for stack in _weak_damping_ladder():
+            reference = _singular_value_null_count(stack)
+            accepted = np.flatnonzero(reference == 1)
+            assert accepted.size > 0
+            assert qdyn.steady_states(stack[accepted]).shape[0] == accepted.size
+            for i in np.flatnonzero(reference != 1):
+                with pytest.raises(ModelError) as err:
+                    qdyn.steady_states(stack[i:i + 1])
+                assert str(err.value).startswith(
+                    f"stationary subspace has dimension {reference[i]}; ")
 
     def test_fixed_point_stays_fixed(self):
         l = drive_liouvillian(1.85, 1.62, 0.906)
