@@ -68,7 +68,8 @@ def apply_irf(trace: TimeTrace, sigma: float) -> TimeTrace:
     dt = trace.grid.dt
     half_width = int(math.ceil(_KERNEL_CUTOFF_SIGMAS * sigma / dt))
     offsets = np.arange(-half_width, half_width + 1) * dt
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    with np.errstate(over="ignore"):  # a sigma far below dt: exp(-inf) = 0 is the limit
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()
     values = np.convolve(trace.values, kernel, mode="full")
     grid = TimeGrid(

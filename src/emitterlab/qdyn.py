@@ -27,9 +27,8 @@ that of the fastest undriven or fully driven member, and step halving
 refines on the maximum over the batch.  A member's shaped-pulse maps are
 chained alike in any batch, so it equals its lone run bitwise whenever
 both take the same step and refinement count.
-:func:`evolve`, :func:`evolve_driven` and the steady-state integration
-fallback share one body: check the initial state, run the verified
-propagation, check every sample of every member.
+:func:`evolve` and :func:`evolve_driven` share one body: check the initial
+state, run the verified propagation, check every sample of every member.
 :func:`check_density_matrix` is the one validity check, for a matrix or a
 stack of them: inputs, steady states and composed states are held to
 ``HERMITICITY_TOL`` and raise :class:`ModelError`; sampled trajectories
@@ -418,24 +417,20 @@ def _max_abs(diff: np.ndarray) -> float:
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-def _verified_propagation(
-    m0, c, segments, block, grid: TimeGrid, dt_int: float | None = None, error=_max_abs
-) -> np.ndarray:
+def _verified_propagation(m0, c, segments, block, grid: TimeGrid, error=_max_abs) -> np.ndarray:
     """:func:`_propagate` refined by step halving until ``error(cur - prev)``,
     taken over the whole batch, falls below ``STEP_HALVING_TOL``.
 
     ``m0`` and ``c`` broadcast as (..., D, D) stacks (``c`` is 0.0 when
-    undriven).  The base step ``dt_int`` defaults to the :func:`_rk4_step`
-    of the batch's undriven ``m0`` and, under a drive, its fully driven
-    ``m0 + c``; segment envelopes are at most 1 in modulus.  Returns shape
-    (*batch, n_points, D, k).
+    undriven).  The base step is the :func:`_rk4_step` of the batch's
+    undriven ``m0`` and, under a drive, its fully driven ``m0 + c``; segment
+    envelopes are at most 1 in modulus.  Returns shape (*batch, n_points, D, k).
     """
     batch = np.broadcast_shapes(np.shape(m0)[:-2], np.shape(c)[:-2])
     size = np.shape(m0)[-1]
     m0, c = (np.broadcast_to(x, (*batch, size, size)).reshape(-1, size, size)
              for x in (m0, c))
-    if dt_int is None:
-        dt_int = _rk4_step(np.linalg.eigvals(np.concatenate([m0, m0 + c]) if segments else m0))
+    dt_int = _rk4_step(np.linalg.eigvals(np.concatenate([m0, m0 + c]) if segments else m0))
     if not dt_int > 0:
         raise NumericFailure(f"internal step underflow: dt_int={dt_int}")
     runs = _schedule(grid, segments, dt_int)
@@ -453,13 +448,13 @@ def _verified_propagation(
     )
 
 
-def _evolve(m0, c, segments, rho0, grid: TimeGrid, dt_int: float | None = None) -> np.ndarray:
+def _evolve(m0, c, segments, rho0, grid: TimeGrid) -> np.ndarray:
     """The one evolution body: checked ``rho0``, verified propagation, checked samples."""
     d = math.isqrt(m0.shape[-1])
     rho0 = check_density_matrix(rho0, "rho0")
     if rho0.shape != (d, d):
         raise ModelError(f"rho0 dim {rho0.shape[0]} != generator dim {d}")
-    traj = _verified_propagation(m0, c, segments, rho0.reshape(-1, 1), grid, dt_int)
+    traj = _verified_propagation(m0, c, segments, rho0.reshape(-1, 1), grid)
     return check_density_matrix(
         traj.reshape(*traj.shape[:-2], d, d), "evolved trajectory",
         TRAJECTORY_HERMITICITY_TOL, NumericFailure,
@@ -543,8 +538,9 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
     max(largest, 1), when 1/|A^-1|_F <= sigma_min(A) <= sigma_2(L) is above
     twice the cut (at most one) and sqrt(d) |L x| >= sigma_min(L) is below
     it (at least one).  Other points have their singular values counted; a
-    count other than one raises :class:`ModelError`.  A point whose
-    residual fails ``STEADY_STATE_RESIDUAL_TOL`` is integrated instead.
+    count other than one raises :class:`ModelError`.  A residual |L x| not
+    below ``STEADY_STATE_RESIDUAL_TOL`` at any point raises
+    :class:`NumericFailure` naming the worst one.
     """
     m = np.asarray(matrices, dtype=complex)
     n, d2 = m.shape[:2]
@@ -571,33 +567,14 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
             "state is not unique. Integrate for a long time from a chosen "
             "initial state instead."
         )
+    worst = np.max(residual, initial=0.0)  # nan when a failed solve left no state
+    if not worst < STEADY_STATE_RESIDUAL_TOL:
+        raise NumericFailure(
+            f"steady-state residual {worst:.3e} above {STEADY_STATE_RESIDUAL_TOL}"
+        )
     rhos = vecs.reshape(n, d, d)
-    for i in np.flatnonzero(~(residual < STEADY_STATE_RESIDUAL_TOL)):
-        rhos[i] = _integrated_steady_state(m[i])
     rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
     return check_density_matrix(rhos, "steady state")
-
-
-def _integrated_steady_state(matrix: np.ndarray) -> np.ndarray:
-    """Steady state by integrating from the maximally mixed state.
-
-    The horizon is 40x the slowest decay time among the eigenvalues but the
-    smallest in modulus (the stationary one), so the start-up transient is
-    damped by e^-40, far below the residual tolerance.
-    """
-    d = math.isqrt(matrix.shape[0])
-    eigs = np.linalg.eigvals(matrix)
-    decay_eigs = np.delete(eigs, np.argmin(np.abs(eigs)))
-    horizon = 40.0 / max(np.min(np.abs(decay_eigs.real)), 1e-12)
-    mixed = np.eye(d, dtype=complex) / d
-    rho = _evolve(matrix, 0.0, [], mixed, TimeGrid(0.0, horizon, 64), _rk4_step(eigs))[-1]
-    residual = np.linalg.norm(matrix @ rho.reshape(-1))
-    if residual >= STEADY_STATE_RESIDUAL_TOL:
-        raise NumericFailure(
-            f"steady-state residual {residual:.3e} above "
-            f"{STEADY_STATE_RESIDUAL_TOL} even after integration fallback"
-        )
-    return rho
 
 
 def steady_state(l: np.ndarray) -> np.ndarray:

@@ -203,16 +203,18 @@ def _population_formula(t1, t2, omega_g_angular, tau, mode):
         mu_sq = omega_g_angular**2 - delta_rate**2
     else:
         raise ModelError(f"unknown mu_mode '{mode}'")
-    env = np.exp(-eta * tau)
+    if mu_sq < 0:
+        # e^(-eta tau) (cosh + eta/m sinh) as decays at eta -+ m, which cannot
+        # overflow; eta - m is formed without cancellation
+        m = math.sqrt(-mu_sq)
+        slow = np.exp(-(eta**2 + mu_sq) / (eta + m) * tau)
+        return 1.0 - slow + 0.5 * (1.0 - eta / m) * (slow - np.exp(-(eta + m) * tau))
     if mu_sq > 0:
         mu = math.sqrt(mu_sq)
         inner = np.cos(mu * tau) + (eta / mu) * np.sin(mu * tau)
-    elif mu_sq < 0:
-        m = math.sqrt(-mu_sq)
-        inner = np.cosh(m * tau) + (eta / m) * np.sinh(m * tau)
     else:
         inner = 1.0 + eta * tau
-    return 1.0 - env * inner
+    return 1.0 - np.exp(-eta * tau) * inner
 
 
 def normalized_correlator(params: TlsParams, drive: Drive, grid: TimeGrid) -> np.ndarray:

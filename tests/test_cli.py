@@ -530,6 +530,27 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_steady_state_residual_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = lineshape\nrabi_ghz = 1e7\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericFailure: steady-state residual ")
+        assert err.endswith(" above 1e-10\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("rabi_analytic", "t2_ns", 1e-9),
+        ("g2", "irf_sigma_ns", 1e-300),
+    ])
+    def test_extreme_value_exits_0_with_finite_output(self, tmp_path, capsys,
+                                                      experiment, key, value):
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: value}) == 0
+        assert capsys.readouterr().err == ""
+        # read_csv rejects a non-finite cell
+        _, _, data = csvio.read_csv(tmp_path / "out" / f"{experiment}.csv")
+        assert data.shape[0] >= 501
+
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
             raise MemoryError("Unable to allocate 1.00 TiB")

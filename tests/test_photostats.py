@@ -58,6 +58,13 @@ class TestApplyIrf:
         assert np.array_equal(out.values, g2.values)
         assert out.grid == g2.grid
 
+    def test_sigma_far_below_step_is_identity_on_the_grown_grid(self):
+        # the kernel's square overflows to inf off centre, where exp gives 0
+        g2 = make_g2()
+        out = photostats.apply_irf(g2, 1e-300)
+        assert out.grid.n_points == g2.grid.n_points + 2
+        assert np.array_equal(out.values, np.concatenate([[0.0], g2.values, [0.0]]))
+
     def test_integral_preserved(self):
         g2 = make_g2()
         out = photostats.apply_irf(g2, 0.15)

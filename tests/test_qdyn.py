@@ -420,26 +420,28 @@ class TestSteadyState:
         for l, rho in zip(ls, rhos):
             assert np.array_equal(rho, qdyn.steady_state(l))
 
-    def test_failed_solve_falls_back_to_integration(self, monkeypatch):
+    def test_failed_solve_on_unique_points_raises(self, monkeypatch):
+        # the SVD calls both points unique, but no solve left a state: the
+        # residual is nan, which fails, and nothing is integrated instead
         ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.5)]
-        direct = [qdyn.steady_state(l) for l in ls]
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         eigvals_shapes = _count_eigvals_calls(monkeypatch)
-        rhos = qdyn.steady_states(np.array(ls))
-        for l, rho, expected in zip(ls, rhos, direct):
-            assert np.linalg.norm(l @ rho.reshape(-1)) < 1e-10
-            assert np.max(np.abs(rho - expected)) < 1e-8
-        # the fallback finds its decay rates point by point, never on the stack,
-        # and takes its horizon and its step from one decomposition per point
-        assert eigvals_shapes
-        assert all(math.prod(shape[:-2]) == 1 for shape in eigvals_shapes)
-        assert len(eigvals_shapes) == len(ls)
+        with pytest.raises(NumericFailure, match=r"^steady-state residual nan above 1e-10$"):
+            qdyn.steady_states(np.array(ls))
+        assert eigvals_shapes == []
 
-    def test_eigvals_runs_only_on_fallback_points(self, monkeypatch):
+    def test_huge_drive_residual_raises(self):
+        # at Omega/2pi = 1e7 GHz the unique solve misses the residual
+        # tolerance; the error names the residual, not a propagation failure
+        l = drive_liouvillian(1.85, 1.62, 1e7)
+        with pytest.raises(NumericFailure, match=r"^steady-state residual \S+ above 1e-10$"):
+            qdyn.steady_state(l)
+
+    def test_steady_states_never_calls_eigvals(self, monkeypatch):
         eigvals_shapes = _count_eigvals_calls(monkeypatch)
         ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 0.9)]
         qdyn.steady_states(np.array(ls))
@@ -464,13 +466,10 @@ class TestSteadyState:
                 # than the eigenvalues do (108 of the 8182 rejections)
                 assert int(dimension.group(1)) >= reference[i]
 
-    def test_uniqueness_decisions_match_singular_value_count(self, monkeypatch):
+    def test_uniqueness_decisions_match_singular_value_count(self):
         # the certificate from the solve's inverse accepts exactly the points
         # that one singular value below the cut accepts, and a rejected point
-        # reports the same dimension; the fallback is stubbed, since only the
-        # decision is under test
-        monkeypatch.setattr(qdyn, "_integrated_steady_state",
-                            lambda m: np.eye(math.isqrt(m.shape[0])) / math.isqrt(m.shape[0]))
+        # reports the same dimension
         for stack in _weak_damping_ladder():
             reference = _singular_value_null_count(stack)
             accepted = np.flatnonzero(reference == 1)
@@ -532,11 +531,19 @@ class TestRegressionCorrelator:
 
 
 class TestNumericGuards:
-    def test_step_underflow_rejected(self, decay_liouvillian):
-        from emitterlab.errors import NumericFailure
+    def test_step_underflow_rejected(self, monkeypatch, decay_liouvillian):
+        for step in (0.0, math.nan):
+            monkeypatch.setattr(qdyn, "_rk4_step", lambda eigs: step)
+            with pytest.raises(NumericFailure, match=rf"^internal step underflow: dt_int={step}$"):
+                qdyn.evolve(decay_liouvillian, RHO_E, TimeGrid(0.0, 1.0, 2))
 
-        with pytest.raises(NumericFailure, match="underflow"):
-            qdyn._evolve(decay_liouvillian, 0.0, [], RHO_E, TimeGrid(0.0, 1.0, 2), 0.0)
+    def test_non_finite_propagation_rejected(self, monkeypatch, decay_liouvillian):
+        def diverged(m0, c, runs, block, n_points, scale):
+            return np.full((n_points, m0.shape[0], *block.shape), np.nan, dtype=complex)
+
+        monkeypatch.setattr(qdyn, "_propagate", diverged)
+        with pytest.raises(NumericFailure, match="^non-finite values during evolution$"):
+            qdyn.evolve(decay_liouvillian, RHO_E, TimeGrid(0.0, 1.0, 2))
 
 
 class TestTimeGrid:

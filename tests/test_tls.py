@@ -94,6 +94,16 @@ class TestAnalyticPopulation:
         assert np.all(np.isfinite(p))
         assert np.all(np.diff(p) >= -1e-12)  # no oscillation when overdamped
 
+    def test_strongly_overdamped_population_is_finite(self):
+        # T2 = 1e-9 ns puts m tau near 1e10: cosh and sinh would overflow,
+        # and inf * 0 would give nan
+        params = tls.TlsParams(t1=1.85, t2=1e-9)
+        tau = np.linspace(0.0, 10.0, 501)
+        p = tls.rabi_population_analytic(params, tls.Drive(0.906), tau, mu_mode="minus")
+        assert p[0] == 0.0
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) >= 0.0)
+
     def test_mu_zero_limit_continuous(self):
         params = tls.TlsParams(t1=1.0, t2=1.0)
         eps = tls.Drive(1e-9 / (2 * np.pi))
