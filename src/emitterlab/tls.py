@@ -204,11 +204,11 @@ def _population_formula(t1, t2, omega_g_angular, tau, mode):
     else:
         raise ModelError(f"unknown mu_mode '{mode}'")
     if mu_sq < 0:
-        # e^(-eta tau) (cosh + eta/m sinh) as decays at eta -+ m, which cannot
-        # overflow; eta - m is formed without cancellation
+        # decays at eta -+ m, which cannot overflow; in mode 'minus', the only one here,
+        # eta^2 + mu_sq = omega^2 + 1/(t1 t2) exactly, and expm1 is exact as m -> 0
         m = math.sqrt(-mu_sq)
-        slow = np.exp(-(eta**2 + mu_sq) / (eta + m) * tau)
-        return 1.0 - slow + 0.5 * (1.0 - eta / m) * (slow - np.exp(-(eta + m) * tau))
+        slow = np.exp(-(omega_g_angular**2 + 1.0 / (t1 * t2)) / (eta + m) * tau)
+        return 1.0 - slow - 0.5 * (1.0 - eta / m) * np.expm1(-2.0 * m * tau) * slow
     if mu_sq > 0:
         mu = math.sqrt(mu_sq)
         inner = np.cos(mu * tau) + (eta / mu) * np.sin(mu * tau)

@@ -1,9 +1,24 @@
+import decimal
+
 import numpy as np
 import pytest
 
 from emitterlab import fitkit, photostats, qdyn, tls
 from emitterlab.errors import ModelError, NumericFailure
 from emitterlab.qdyn import TimeGrid, TimeTrace
+
+
+def _exact_overdamped_population(t1, t2, omega_g_angular, tau):
+    """1 - e^(-eta tau)(cosh m tau + eta/m sinh m tau) in 40-digit decimal arithmetic."""
+    ctx = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(ctx):
+        t1, t2, w, t = (decimal.Decimal(x) for x in (t1, t2, omega_g_angular, tau))
+        eta = (1 / t1 + 1 / t2) / 2
+        delta = (1 / t1 - 1 / t2) / 2
+        m = (delta * delta - w * w).sqrt()
+        grow, shrink = (m * t).exp(), (-m * t).exp()
+        inner = (grow + shrink) / 2 + eta / m * (grow - shrink) / 2
+        return float(1 - (-eta * t).exp() * inner)
 
 
 class TestTypes:
@@ -96,13 +111,26 @@ class TestAnalyticPopulation:
 
     def test_strongly_overdamped_population_is_finite(self):
         # T2 = 1e-9 ns puts m tau near 1e10: cosh and sinh would overflow,
-        # and inf * 0 would give nan
+        # and inf * 0 would give nan.  eta^2 ~ 2.5e17 but eta^2 + mu^2 ~ 5e8:
+        # forming the slow decay rate from the difference would lose 7 digits
         params = tls.TlsParams(t1=1.85, t2=1e-9)
         tau = np.linspace(0.0, 10.0, 501)
         p = tls.rabi_population_analytic(params, tls.Drive(0.906), tau, mu_mode="minus")
         assert p[0] == 0.0
         assert np.all((p >= 0.0) & (p <= 1.0))
         assert np.all(np.diff(p) >= 0.0)
+        exact = [_exact_overdamped_population(1.85, 1e-9, 2 * np.pi * 0.906, t)
+                 for t in tau[[25, 100, 500]]]
+        assert np.max(np.abs(p[[25, 100, 500]] - exact)) < 1e-14
+
+    def test_near_critical_damping_matches_critical_branch(self):
+        # t1 = 1, t2 = 0.5, Omega_g = 0.5 make mu^2 exactly 0; one ulp either
+        # side gives |mu^2| ~ 6e-17, so m ~ 7e-9 in the overdamped branch
+        tau = np.linspace(0.0, 10.0, 101)
+        critical = tls._population_formula(1.0, 0.5, 0.5, tau, "minus")
+        for omega in (np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)):
+            p = tls._population_formula(1.0, 0.5, omega, tau, "minus")
+            assert np.max(np.abs(p - critical)) < 1e-14
 
     def test_mu_zero_limit_continuous(self):
         params = tls.TlsParams(t1=1.0, t2=1.0)

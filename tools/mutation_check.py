@@ -8,16 +8,13 @@ pattern does not occur exactly once in its file, so the list cannot rot
 as the code changes, when the unmutated copy fails its tests, or when a
 mutant survives.
 
-Usage, from the repository root::
+Usage, from the repository root (a few minutes)::
 
-    python tools/mutation_check.py          # all mutations, a few minutes
-    python tools/mutation_check.py --list   # names only
-    python tools/mutation_check.py -k residual   # names containing a word
+    python tools/mutation_check.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -85,17 +82,8 @@ def _tests_pass(tree: Path) -> bool:
     return done.returncode == 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the mutation names and exit")
-    parser.add_argument("-k", default="", help="run only mutations whose name contains this")
-    args = parser.parse_args(argv)
-    mutations = [m for m in MUTATIONS if args.k in m[0]]
-    if args.list:
-        for name, path, _, _ in mutations:
-            print(f"{name}  ({path})")
-        return 0
-    problems = _check_patterns(mutations)
+def main() -> int:
+    problems = _check_patterns(MUTATIONS)
     if problems:
         print("\n".join(problems))
         return 1
@@ -111,7 +99,7 @@ def main(argv=None) -> int:
             print("the unmutated tree fails its tests; no mutant can be judged")
             return 1
         print(f"unmutated tree passes ({time.perf_counter() - start:.1f} s)")
-        for name, path, pattern, replacement in mutations:
+        for name, path, pattern, replacement in MUTATIONS:
             target = tree / path
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(pattern, replacement), encoding="utf-8")
@@ -123,9 +111,9 @@ def main(argv=None) -> int:
             if not killed:
                 survivors.append(name)
     if survivors:
-        print(f"{len(survivors)} of {len(mutations)} mutations survived: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {len(MUTATIONS)} mutations survived: {', '.join(survivors)}")
         return 1
-    print(f"all {len(mutations)} mutations fail the tests")
+    print(f"all {len(MUTATIONS)} mutations fail the tests")
     return 0
 
 
