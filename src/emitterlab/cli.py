@@ -17,6 +17,7 @@ output).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -412,7 +413,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--plot", action="store_true", help="also write SVG plots")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emitterlab",
         description="Coherently driven emitter simulations: Rabi dynamics, photon "
@@ -430,7 +432,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("reproduce-all", help="run the bundled figure cookbook")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--plot", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "validate":
         try:

@@ -254,7 +254,9 @@ def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> lis
     A piece between two consecutive samples has length ``grid.dt`` exactly,
     so the rounding of the split points does not break runs.
     """
-    samples = np.round(grid.times(), 15)
+    samples = grid.times()
+    small = np.abs(samples) < 1e290  # rounding scales by 1e15: keep that finite
+    samples[small] = np.round(samples[small], 15)
     edges = sorted(round(float(t), 15) for t0, t1, _ in segments for t in (t0, t1)
                    if grid.t_start < t < grid.t_end)
     pts = np.insert(samples, np.searchsorted(samples, edges), edges)

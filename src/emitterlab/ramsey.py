@@ -19,7 +19,6 @@ import numpy as np
 
 from . import qdyn, tls
 from .errors import ModelError
-from .qdyn import TimeGrid
 from .tls import EXCITED, PROJ_EXCITED, RHO_GROUND, SIGMA_X, SIGMA_Y, TWO_PI
 
 PULSE_AREA = 0.5 * math.pi
@@ -37,36 +36,28 @@ def population_table(
     Each pulse has exactly pi/2 area: its peak amplitude is derived from
     the envelope.
 
-    Every piece is a verified evolution: the first-pulse state once, one
-    free evolution per nonzero delay and one batched :func:`qdyn.propagator`
-    call for the second-pulse maps of all phases; the stack of composed
-    final states passes :func:`qdyn.check_density_matrix`.
+    Two verified propagations: one batched :func:`qdyn.propagator` gives the
+    pulse maps at phase 0 (first pulse) and at every relative phase (second
+    pulse), and one :func:`qdyn.evolve` of the stack ``tau * L0`` over unit
+    time gives every delay.  The composed final states pass
+    :func:`qdyn.check_density_matrix`.
     """
     taus = np.asarray(taus, dtype=float)
-    for tau in taus:
-        if tau < 0:
-            raise ModelError(f"delay_tau must be >= 0, got {tau}")
+    if np.any(taus < 0):
+        raise ModelError(f"delay_tau must be >= 0, got {taus[taus < 0][0]}")
     omega = PULSE_AREA / pulse.area_factor()  # peak angular Rabi frequency
-    l0 = qdyn.build_liouvillian(
-        -TWO_PI * detuning * PROJ_EXCITED, tls.decay_jumps(params)
-    )
+    l0 = qdyn.build_liouvillian(-TWO_PI * detuning * PROJ_EXCITED, tls.decay_jumps(params))
     t_end = pulse.on_end()
-    segments = tls.envelope_segments(pulse, t_end)
     # drive couplings at phase 0 (first pulse), then at each relative phase
     ph = np.concatenate([[0.0], phases])[:, None, None]
     couplings = 0.5 * omega * (np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y)
-    first = qdyn.evolve_driven(
-        l0, couplings[0], segments, RHO_GROUND, TimeGrid(0.0, t_end, 5)
-    )[-1]
-    free = np.array([
-        qdyn.evolve(l0, first, TimeGrid(0.0, tau, 5))[-1] if tau > 0 else first
-        for tau in taus
-    ])
+    maps = qdyn.propagator(l0, couplings, tls.envelope_segments(pulse, t_end), t_end)
     d = math.isqrt(l0.shape[-1])
-    maps = qdyn.propagator(l0, couplings[1:], segments, t_end)
-    finals = (maps[None] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
+    first = (maps[0] @ RHO_GROUND.reshape(-1)).reshape(d, d)
+    free = qdyn.evolve(taus[:, None, None] * l0, first, qdyn.TimeGrid(0.0, 1.0, 2))[:, -1]
+    finals = (maps[None, 1:] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
     qdyn.check_density_matrix(finals, "Ramsey final state")
-    return finals[:, EXCITED, EXCITED].real.reshape(taus.size, len(maps))
+    return finals[:, EXCITED, EXCITED].real.reshape(taus.size, len(maps) - 1)
 
 
 def ramsey_population(

@@ -104,15 +104,16 @@ class TestComposedMaps:
 
     def test_visibility_curve_matches_chain(self):
         params = tls.TlsParams(1.85, 0.78)
-        taus = np.linspace(0.0, 2.4, 5)
         phases = np.arange(16) * (2.0 * np.pi / 16)
-        pops = np.array([
-            [_chained_population(params, PULSE, tau, ph, 0.2) for ph in phases]
-            for tau in taus
-        ])
-        expected = (pops.max(axis=1) - pops.min(axis=1)) / (pops.max(axis=1) + pops.min(axis=1))
-        vis = ramsey.visibility_curve(params, PULSE, taus, detuning=0.2)
-        assert np.max(np.abs(vis - expected)) <= 1e-9
+        # a uniform grid from 0, and unsorted non-uniform delays around 0
+        for taus in (np.linspace(0.0, 2.4, 5), [0.3, 0.0, 2.4, 1.1]):
+            pops = np.array([
+                [_chained_population(params, PULSE, tau, ph, 0.2) for ph in phases]
+                for tau in taus
+            ])
+            expected = (pops.max(axis=1) - pops.min(axis=1)) / (pops.max(axis=1) + pops.min(axis=1))
+            vis = ramsey.visibility_curve(params, PULSE, taus, detuning=0.2)
+            assert np.max(np.abs(vis - expected)) <= 1e-9
 
     def test_fringe_scan_matches_chain(self):
         params = tls.TlsParams(1.85, 0.78)
@@ -142,6 +143,20 @@ class TestComposedMaps:
     def test_negative_delay_in_scan_rejected(self):
         with pytest.raises(ModelError, match="delay_tau"):
             ramsey.visibility_curve(tls.TlsParams(1.85, 0.78), PULSE, [0.5, -0.1])
+
+    def test_invalid_final_state_rejected(self, monkeypatch):
+        # second-pulse maps that double the trace; the first-pulse map is kept
+        propagator = qdyn.propagator
+
+        def doubled(*args, **kwargs):
+            maps = propagator(*args, **kwargs)
+            maps[1:] *= 2.0
+            return maps
+
+        monkeypatch.setattr(qdyn, "propagator", doubled)
+        with pytest.raises(ModelError,
+                           match="Ramsey final state trace differs from 1 by 1.000e"):
+            ramsey.population_table(tls.TlsParams(1.85, 0.78), PULSE, [0.5], [0.1])
 
     def test_empty_scans_give_empty_tables(self):
         params = tls.TlsParams(1.85, 0.78)

@@ -50,10 +50,19 @@ MUTATIONS = [
      "        if not np.all(np.isfinite(cur)):\n", "        if False:\n"),
     ("step-halving acceptance", QDYN,
      "        if error(cur - prev) < STEP_HALVING_TOL:\n", "        if True:\n"),
+    ("steady-state uniqueness", QDYN,
+     "    if np.any(n_null != 1):\n", "    if False:\n"),
+    ("uniqueness certificate, residual leg", QDYN,
+     "            residual * math.sqrt(d) < STATIONARY_NULL_TOL)\n", "            True)\n"),
+    ("uniqueness certificate, norm leg", QDYN,
+     "        certified = (np.linalg.norm(inv, axis=(1, 2)) * scale < 0.5 / STATIONARY_NULL_TOL) & (\n",
+     "        certified = True & (\n"),
     ("steady-state residual", QDYN,
      "    if not worst < STEADY_STATE_RESIDUAL_TOL:\n", "    if False:\n"),
     ("correlator stationarity", QDYN,
      "    if stationarity > 1e-8:\n", "    if False:\n"),
+    ("Ramsey final state", "src/emitterlab/ramsey.py",
+     '    qdyn.check_density_matrix(finals, "Ramsey final state")\n', "    pass\n"),
     ("correlator imaginary part", "src/emitterlab/tls.py",
      "    if np.max(np.abs(corr.imag)) > 1e-8:\n", "    if False:\n"),
     ("g2 negativity", "src/emitterlab/photostats.py",
