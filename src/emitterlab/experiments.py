@@ -231,6 +231,11 @@ def _lambda_rabis(cfg) -> tuple:
 # -- experiments ---------------------------------------------------------------
 
 
+def _fitted(fit, value: str) -> str:
+    """A summary's fitted ``value``, or the fit's message when it did not converge."""
+    return value if fit.converged else f"fit not converged ({fit.message})"
+
+
 def _curve(stem, xname, yname, x, y, title, xlabel) -> dict:
     """Result fields for one x-y table and its line plot."""
     return {
@@ -382,9 +387,9 @@ def _lineshape(cfg):
     detunings = np.linspace(-cfg["span_ghz"] / 2, cfg["span_ghz"] / 2, cfg["n_points"])
     pops = tls.excitation_lineshape(_params(cfg), cfg["rabi_ghz"], detunings)
     fit = fitkit.fit_lorentzian_fwhm(detunings, pops)
+    fwhm = _fitted(fit, f"FWHM={fit['fwhm'] * 1e3:.1f} MHz")
     return Result(
-        f"lineshape: FWHM={fit['fwhm'] * 1e3:.1f} MHz "
-        f"(Omega/2pi={cfg['rabi_ghz']:.4g} GHz)",
+        f"lineshape: {fwhm} (Omega/2pi={cfg['rabi_ghz']:.4g} GHz)",
         {"fit": fit},
         fit=("lineshape_fit.csv", fit),
         **_curve("lineshape", "detuning_ghz", "population", detunings, pops,
@@ -481,9 +486,9 @@ def _pulsed_rabi(cfg):
     sqrt_powers = np.sqrt(powers)
     pops = tls.pulsed_rabi_scan(params, pulse, powers, calib)
     fit = fitkit.fit_sine_sqrtp(sqrt_powers, pops)
+    period = _fitted(fit, f"sine period {fit['period']:.3f} sqrt(nW)")
     return Result(
-        f"pulsed_rabi: first max {pops.max():.3f}, "
-        f"sine period {fit['period']:.3f} sqrt(nW)",
+        f"pulsed_rabi: first max {pops.max():.3f}, {period}",
         {"pops": pops, "fit": fit},
         fit=("pulsed_rabi_fit.csv", fit),
         meta={"p_max_nw_used": csvio.format_number(p_max)},
@@ -523,8 +528,9 @@ def _ramsey(cfg):
     vis = ramsey.visibility_curve(params, pulse, taus, n_phases=cfg["n_phases"],
                                   detuning=cfg["detuning_ghz"])
     fit = fitkit.fit_exp_decay(taus, vis)
+    decay = _fitted(fit, f"fitted decay {fit['tau_ns']:.3f} ns")
     return Result(
-        f"ramsey visibility: fitted decay {fit['tau_ns']:.3f} ns, V(0)={vis[0]:.3f}",
+        f"ramsey visibility: {decay}, V(0)={vis[0]:.3f}",
         {"visibility": vis, "fit": fit},
         fit=("ramsey_visibility_fit.csv", fit),
         **_curve("ramsey_visibility", "tau_ns", "visibility", taus, vis,
@@ -545,7 +551,7 @@ def _lifetime(cfg):
     pops = rhos[:, tls.EXCITED, tls.EXCITED].real
     fit = fitkit.fit_exp_decay(grid.times(), pops)
     return Result(
-        f"lifetime: fitted tau={fit['tau_ns']:.4f} ns",
+        "lifetime: " + _fitted(fit, f"fitted tau={fit['tau_ns']:.4f} ns"),
         {"fit": fit},
         fit=("lifetime_fit.csv", fit),
         **_curve("lifetime", "t_ns", "population", grid.times(), pops,
@@ -554,11 +560,22 @@ def _lifetime(cfg):
 
 
 def _read_xy(cfg) -> tuple:
-    """Header and first two columns of the ``input`` CSV."""
-    _, header, data = csvio.read_csv(cfg["input"])
+    """Metadata, header and first two columns of the ``input`` CSV."""
+    meta, header, data = csvio.read_csv(cfg["input"])
     if data.shape[0] < 2 or data.shape[1] < 2:
         raise ModelError(f"input {cfg['input']} has too few rows/columns")
-    return header, data[:, 0], data[:, 1]
+    return meta, header, data[:, 0], data[:, 1]
+
+
+def _irf_sigma(cfg, meta) -> float:
+    """The IRF width of the input: its ``# irf_sigma_ns=`` line, which ``g2``
+    and ``synth`` write, else 0."""
+    text = meta.get("irf_sigma_ns", "0")
+    try:
+        return float(text)
+    except ValueError:
+        raise ModelError(f"input {cfg['input']}: irf_sigma_ns line '{text}' "
+                         "is not a number")
 
 
 def _uniform_trace(x, y, what: str) -> TimeTrace:
@@ -568,15 +585,16 @@ def _uniform_trace(x, y, what: str) -> TimeTrace:
     return TimeTrace(TimeGrid(float(x[0]), float(x[-1]), x.size), y)
 
 
-# fit_model -> fit of the (x, y) columns, given the config
+# fit_model -> fit of the (x, y) columns, given the config and the input's metadata
 FIT_MODELS = {
-    "rabi": lambda x, y, cfg: fitkit.fit_rabi(
-        _uniform_trace(x, y, "rabi fit"), t1_fixed=cfg["t1_ns"], mu_mode=cfg["mu_mode"]
+    "rabi": lambda x, y, cfg, meta: fitkit.fit_rabi(
+        _uniform_trace(x, y, "rabi fit"), t1_fixed=cfg["t1_ns"], mu_mode=cfg["mu_mode"],
+        irf_sigma=_irf_sigma(cfg, meta),
     ),
-    "exp_decay": lambda x, y, cfg: fitkit.fit_exp_decay(x, y),
-    "lorentzian": lambda x, y, cfg: fitkit.fit_lorentzian_fwhm(x, y),
-    "linear_sqrtp": lambda x, y, cfg: fitkit.fit_linear_sqrtp(x, y),
-    "sine_sqrtp": lambda x, y, cfg: fitkit.fit_sine_sqrtp(x, y),
+    "exp_decay": lambda x, y, cfg, meta: fitkit.fit_exp_decay(x, y),
+    "lorentzian": lambda x, y, cfg, meta: fitkit.fit_lorentzian_fwhm(x, y),
+    "linear_sqrtp": lambda x, y, cfg, meta: fitkit.fit_linear_sqrtp(x, y),
+    "sine_sqrtp": lambda x, y, cfg, meta: fitkit.fit_sine_sqrtp(x, y),
 }
 
 
@@ -588,9 +606,9 @@ FIT_MODELS = {
     mu_mode=_MU_MODE,
 )
 def _fit(cfg):
-    _, x, y = _read_xy(cfg)
+    meta, _, x, y = _read_xy(cfg)
     model = cfg["fit_model"]
-    result = FIT_MODELS[model](x, y, cfg)
+    result = FIT_MODELS[model](x, y, cfg, meta)
     pretty = ", ".join(f"{k}={v:.6g}" for k, v in result.params.items())
     return Result(
         f"fit {model}: {pretty} (converged={result.converged})",
@@ -608,7 +626,7 @@ def _fit(cfg):
     irf_sigma_ns=_IRF_SIGMA,
 )
 def _synth(cfg):
-    header, x, y = _read_xy(cfg)
+    _, header, x, y = _read_xy(cfg)
     trace = _uniform_trace(x, y, "synth input")
     noise = synth.NoiseSpec(
         seed=cfg["seed"],

@@ -6,17 +6,19 @@ normal equations.  Positive parameters are fitted in log space (smooth
 reparameterization, no clipping).  Convergence: relative chi^2 change
 below 1e-10 or step norm below 1e-12, capped at 500 iterations.
 
-:func:`fit_rabi` uses Poisson weights, sigma^2 = max(counts, 1), which
-reduce to unit weights for normalized curves; the other fits use unit
-weights.  The fits take their data as (x, y) arrays, :func:`fit_rabi` as
-a uniformly sampled trace.  Initialization heuristics are fixed so fits
-reproduce without hand-tuned seeds: Rabi frequency from the FFT peak,
-decay constants from log-linear regression, Lorentzian moments from
+:func:`fit_rabi` is a reconvolution fit through the detector response
+(IRF) and uses Poisson weights, sigma^2 = max(counts, 1), which reduce to
+unit weights for normalized curves; the other fits use unit weights.  The
+fits take their data as (x, y) arrays, :func:`fit_rabi` as a uniformly
+sampled trace.  Initialization heuristics are fixed so fits reproduce
+without hand-tuned seeds: Rabi frequency from the FFT peak, decay
+constants from log-linear regression, Lorentzian moments from
 half-maximum crossings.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import tls
 from .errors import ModelError, NumericFailure
-from .photostats import fft_peaks
+from .photostats import fft_peaks, irf_half_width, irf_kernel
 from .qdyn import TimeGrid, TimeTrace
 
 MAX_ITER = 500
@@ -32,6 +34,7 @@ CHI2_RTOL = 1e-10
 STEP_TOL = 1e-12
 _JAC_REL_STEP = 1e-6
 _OVERFLOW = "fit overflows float64: {} beyond 1.8e308; rescale the data"
+_IDENTITY = np.ones(1)  # the detector response of an ideal detector
 
 
 @dataclass
@@ -113,8 +116,13 @@ def lm_fit(
         return p
 
     def evaluate(q):
-        p = to_p(q)
-        f = model(x, **dict(zip(names, p)))
+        # a step far into log space overflows exp or the model; the caller
+        # rejects or reports the non-finite result, so it warns nowhere
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p = to_p(q)
+            if not np.all(np.isfinite(p)):
+                return np.full(x.shape, np.nan)
+            f = model(x, **dict(zip(names, p)))
         return np.asarray(f, dtype=float)
 
     def jacobian(q):
@@ -197,12 +205,14 @@ def lm_fit(
     dof = max(x.size - len(names), 1)
     chi2_red = chi2 / dof
     jac = jacobian(q)
-    try:
-        cov_q = np.linalg.inv(jac.T @ jac) * chi2_red
-    except np.linalg.LinAlgError:
-        cov_q = np.linalg.pinv(jac.T @ jac) * chi2_red
-    scale = np.where(is_log, p, 1.0)
-    cov = cov_q * np.outer(scale, scale)
+    # a parameter run off toward the float64 limit gets an infinite uncertainty
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cov_q = np.linalg.inv(jac.T @ jac) * chi2_red
+        except np.linalg.LinAlgError:
+            cov_q = np.linalg.pinv(jac.T @ jac) * chi2_red
+        scale = np.where(is_log, p, 1.0)
+        cov = cov_q * np.outer(scale, scale)
     stderr = {n: float(math.sqrt(max(cov[i, i], 0.0))) for i, n in enumerate(names)}
     return FitResult(
         params={n: float(v) for n, v in zip(names, p)},
@@ -237,11 +247,19 @@ def _failed(names: dict, message: str) -> FitResult:
 # -- damped-Rabi / g2 model ----------------------------------------------------
 
 
-def rabi_model(x, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns, t1_ns, mu_mode):
-    """scale_a * P(|tau - dt|) + offset_dg with the damped-Rabi P."""
+def rabi_model(x, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns, t1_ns, mu_mode,
+               kernel=_IDENTITY):
+    """scale_a * (kernel * P)(x) + offset_dg with the damped-Rabi P(|tau - dt|).
+
+    The forward map of :func:`photostats.apply_irf`: P is evaluated on x
+    without the kernel half-width at each end and convolved, zero-extended,
+    back onto x.  The identity kernel ``[1.0]`` leaves P on all of x.
+    """
+    half_width = kernel.size // 2
+    inner = x[half_width:x.size - half_width]
     omega_angular = tls.TWO_PI * omega_ghz
-    p = tls._population_formula(t1_ns, t2_ns, omega_angular, x - dt_ns, mu_mode)
-    return scale_a * p + offset_dg
+    p = tls._population_formula(t1_ns, t2_ns, omega_angular, inner - dt_ns, mu_mode)
+    return scale_a * np.convolve(p, kernel, mode="full") + offset_dg
 
 
 def _estimate_omega(x: np.ndarray, y: np.ndarray):
@@ -256,26 +274,43 @@ def _estimate_omega(x: np.ndarray, y: np.ndarray):
     return found[0][0]
 
 
-def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto") -> FitResult:
-    """Fit a Rabi trace or g2 curve with the damped-Rabi model, Poisson-weighted.
+def _through_irf(message: str, irf_sigma: float) -> str:
+    """A failed Rabi fit's message, naming the detector response if there is one."""
+    if irf_sigma == 0.0:
+        return message
+    return f"{message}; no oscillation survives the IRF (irf_sigma_ns={irf_sigma:g})"
 
-    Free parameters: omega_ghz, t2_ns, scale_a, offset_dg, dt_ns; t1 is a
-    measured input, never fitted.  Returns ``converged=False`` with a
-    diagnostic for non-oscillatory data instead of raising.
+
+def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
+             irf_sigma: float = 0.0) -> FitResult:
+    """Reconvolution fit of a Rabi trace or g2 curve, Poisson-weighted.
+
+    The model is :func:`rabi_model` through the detector response of
+    width ``irf_sigma`` (ns), built once by :func:`photostats.irf_kernel`:
+    the forward map that ``synth`` and ``g2`` apply.  Free parameters:
+    omega_ghz, t2_ns, scale_a, offset_dg, dt_ns; t1 is a measured input,
+    never fitted.  Non-oscillatory data, and a fitted frequency above the
+    Nyquist frequency of the sampling (an oscillation the IRF washed out),
+    come back with ``converged=False`` and a diagnostic instead of raising.
     """
     mode = tls.resolve_mu_mode(mu_mode)
     x = data.grid.times()
     y = data.values
+    size = 2 * irf_half_width(irf_sigma, data.grid.dt) + 1
+    if size >= x.size:
+        raise ModelError(f"irf sigma {irf_sigma} ns: its {size}-sample kernel "
+                         f"does not fit in the {x.size} data points")
+    kernel = irf_kernel(irf_sigma, data.grid.dt)
     init = {"omega_ghz": 1.0, "t2_ns": t1_fixed, "scale_a": 1.0,
             "offset_dg": 0.0, "dt_ns": 0.0}
     omega0 = _estimate_omega(x, y)
     if omega0 is None:
-        return _failed(init, "non-oscillatory data: no spectral peak found")
+        return _failed(init, _through_irf("non-oscillatory data: no spectral peak found",
+                                          irf_sigma))
     span = float(x[-1] - x[0])
     if span * omega0 < 3.0:
-        return _failed(
-            init, f"data covers only {span * omega0:.2f} oscillation periods (< 3)"
-        )
+        return _failed(init, _through_irf(
+            f"data covers only {span * omega0:.2f} oscillation periods (< 3)", irf_sigma))
     dg0 = float(np.min(y))
     tail = max(3, x.size // 10)
     a0 = max(float(np.mean(np.sort(y)[-tail:])) - dg0, 1e-6)
@@ -287,16 +322,29 @@ def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto") -> FitResu
         dt_ns=0.0,
     )
 
-    def model(xv, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns):
-        return rabi_model(xv, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns,
-                          t1_ns=t1_fixed, mu_mode=mode)
+    # the Jacobian columns of scale_a and offset_dg reuse the convolved
+    # shape of the point they differentiate at
+    @functools.lru_cache(maxsize=8)
+    def shape(omega_ghz, t2_ns, dt_ns):
+        return rabi_model(x, omega_ghz, t2_ns, 1.0, 0.0, dt_ns,
+                          t1_ns=t1_fixed, mu_mode=mode, kernel=kernel)
+
+    def model(xv, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns):  # xv is x
+        return scale_a * shape(omega_ghz, t2_ns, dt_ns) + offset_dg
 
     result = lm_fit(
         model, x, y, init, weights=1.0 / np.sqrt(np.maximum(y, 1.0)),
         positive=("omega_ghz", "t2_ns", "scale_a"),
     )
+    nyquist = 0.5 / data.grid.dt
+    if result.converged and result["omega_ghz"] > nyquist:
+        result.converged = False
+        result.message = _through_irf(
+            f"fitted omega_ghz={result['omega_ghz']:.4g} is above the Nyquist "
+            f"frequency {nyquist:.4g} GHz of the sampling", irf_sigma)
     result.extra["mu_mode"] = mode
     result.extra["t1_ns_fixed"] = t1_fixed
+    result.extra["irf_sigma_ns"] = irf_sigma
     return result
 
 

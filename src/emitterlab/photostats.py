@@ -4,8 +4,10 @@ g2 correlation curves via the quantum regression theorem, Gaussian
 detector-response convolution, windowed FFT peak extraction for Rabi
 traces, and the incoherent resonance-fluorescence (Mollow) spectrum.
 :func:`g2_curve` and :func:`apply_irf` return a :class:`TimeTrace` on the
-grid they build; :func:`fft_peaks` returns the sorted peaks and the bin
-width; :func:`emission_spectrum` returns the intensity at each requested
+grid they build; :func:`irf_kernel` is the detector response that
+:func:`apply_irf` and the reconvolution fit of :mod:`fitkit` share;
+:func:`fft_peaks` returns the sorted peaks and the bin width;
+:func:`emission_spectrum` returns the intensity at each requested
 frequency.
 """
 
@@ -49,35 +51,50 @@ def g2_curve(params: TlsParams, drive: Drive, grid: TimeGrid) -> TimeTrace:
     return TimeTrace(grid=full_grid, values=values)
 
 
+def irf_half_width(sigma: float, dt: float) -> int:
+    """Samples on each side of the centre of :func:`irf_kernel`: ``ceil(5 sigma / dt)``."""
+    if not 0.0 <= sigma < math.inf:
+        raise ModelError(f"irf sigma must be finite and >= 0, got {sigma}")
+    return int(math.ceil(_KERNEL_CUTOFF_SIGMAS * sigma / dt))
+
+
+def irf_kernel(sigma: float, dt: float) -> np.ndarray:
+    """Unit-area Gaussian detector response sampled at spacing ``dt``.
+
+    Truncated at ``_KERNEL_CUTOFF_SIGMAS`` standard deviations, so it has
+    ``2 h + 1`` samples for ``h =`` :func:`irf_half_width`; ``sigma = 0``
+    gives the identity kernel ``[1.0]``.
+    """
+    half_width = irf_half_width(sigma, dt)
+    if half_width == 0:
+        return np.ones(1)
+    offsets = np.arange(-half_width, half_width + 1) * dt
+    with np.errstate(over="ignore"):  # a sigma far below dt: exp(-inf) = 0 is the limit
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    return kernel / kernel.sum()
+
+
 def apply_irf(trace: TimeTrace, sigma: float) -> TimeTrace:
-    """Convolve a trace with a unit-area Gaussian detector response.
+    """Convolve a trace with the unit-area Gaussian detector response :func:`irf_kernel`.
 
     The data is zero-extended, so the output grid grows by the kernel
     half-width on each side and the total integral is preserved.
     ``sigma = 0`` returns an identical copy.
     """
-    if sigma < 0:
-        raise ModelError(f"irf sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return TimeTrace(grid=trace.grid, values=trace.values.copy())
     span = trace.grid.t_end - trace.grid.t_start
     if sigma > span / 4.0:
         raise ModelError(
             f"irf sigma {sigma} exceeds a quarter of the trace span {span}"
         )
+    kernel = irf_kernel(sigma, trace.grid.dt)
+    half_width = kernel.size // 2
     dt = trace.grid.dt
-    half_width = int(math.ceil(_KERNEL_CUTOFF_SIGMAS * sigma / dt))
-    offsets = np.arange(-half_width, half_width + 1) * dt
-    with np.errstate(over="ignore"):  # a sigma far below dt: exp(-inf) = 0 is the limit
-        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    values = np.convolve(trace.values, kernel, mode="full")
     grid = TimeGrid(
         trace.grid.t_start - half_width * dt,
         trace.grid.t_end + half_width * dt,
         trace.grid.n_points + 2 * half_width,
     )
-    return TimeTrace(grid=grid, values=values)
+    return TimeTrace(grid=grid, values=np.convolve(trace.values, kernel, mode="full"))
 
 
 def fft_peaks(trace: TimeTrace):

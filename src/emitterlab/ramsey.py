@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import qdyn, tls
-from .errors import ModelError
+from .errors import ModelError, NumericFailure
 from .tls import EXCITED, PROJ_EXCITED, RHO_GROUND, SIGMA_X, SIGMA_Y, TWO_PI
 
 PULSE_AREA = 0.5 * math.pi
@@ -39,8 +39,8 @@ def population_table(
     Two verified propagations: one batched :func:`qdyn.propagator` gives the
     pulse maps at phase 0 (first pulse) and at every relative phase (second
     pulse), and one :func:`qdyn.evolve` of the stack ``tau * L0`` over unit
-    time gives every delay.  The composed final states pass
-    :func:`qdyn.check_density_matrix`.
+    time gives every delay.  The state after the first pulse, and the
+    composed final states, pass :func:`qdyn.check_density_matrix`.
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
@@ -54,6 +54,7 @@ def population_table(
     maps = qdyn.propagator(l0, couplings, tls.envelope_segments(pulse, t_end), t_end)
     d = math.isqrt(l0.shape[-1])
     first = (maps[0] @ RHO_GROUND.reshape(-1)).reshape(d, d)
+    qdyn.check_density_matrix(first, "Ramsey first-pulse state", error=NumericFailure)
     free = qdyn.evolve(taus[:, None, None] * l0, first, qdyn.TimeGrid(0.0, 1.0, 2))[:, -1]
     finals = (maps[None, 1:] @ free.reshape(taus.size, 1, d * d, 1)).reshape(-1, d, d)
     qdyn.check_density_matrix(finals, "Ramsey final state")

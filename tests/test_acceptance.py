@@ -245,3 +245,22 @@ def test_10_engine_properties(tmp_path):
         assert (tmp_path / "a" / "g2.csv").read_bytes() == (
             tmp_path / "b" / "g2.csv"
         ).read_bytes()
+
+
+def test_11_irf_round_trip():
+    with criterion("11 reconvolution fit of IRF-broadened g2 at 15, 30, 60 Psat "
+                   "(Omega 2%, T2 10%)"):
+        params = tls.TlsParams(1.85, 1.62)
+        grid = TimeGrid(0.0, 10.0, 501)
+        for k, psat in enumerate((15.0, 30.0, 60.0)):
+            rabi = tls.power_to_rabi(tls.PowerCalib(20.0), params, psat * 20.0)
+            g2 = photostats.g2_curve(params, tls.Drive(rabi), grid)
+            for sigma in (0.05, 0.1, 0.15, 0.3):
+                counts_grid, counts = synth.synth_counts(
+                    g2, synth.NoiseSpec(seed=100 + k, scale=1e4, irf_sigma=sigma)
+                )
+                fit = fitkit.fit_rabi(TimeTrace(counts_grid, counts.astype(float)),
+                                      t1_fixed=1.85, irf_sigma=sigma)
+                assert fit.converged, (psat, sigma, fit.message)
+                assert abs(fit["omega_ghz"] - rabi) <= 0.02 * rabi, (psat, sigma)
+                assert abs(fit["t2_ns"] - 1.62) <= 0.10 * 1.62, (psat, sigma)

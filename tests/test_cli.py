@@ -455,7 +455,84 @@ class TestFitThroughFiles:
                 assert "Traceback" not in err and "Warning" not in err
 
 
+def _irf_counts_file(tmp_path, rabi_ghz, sigma, seed):
+    """``g2`` then ``synth`` through an IRF of width ``sigma``; the counts file."""
+    g2 = write_cfg(tmp_path, f"experiment = g2\nrabi_ghz = {rabi_ghz!r}\n", "g2.cfg")
+    assert cli.run(config_path=g2, outdir=tmp_path / "g2") == 0
+    synth = write_cfg(tmp_path, f"experiment = synth\ninput = {tmp_path / 'g2' / 'g2.csv'}"
+                                f"\nseed = {seed}\nirf_sigma_ns = {sigma!r}\n", "synth.cfg")
+    assert cli.run(config_path=synth, outdir=tmp_path / "synth") == 0
+    return tmp_path / "synth" / "synth_counts.csv"
+
+
+class TestRabiFitThroughIrf:
+    def _fit(self, tmp_path, data_path, extra=""):
+        cfg = write_cfg(tmp_path, f"experiment = fit\ninput = {data_path}\n"
+                                  f"fit_model = rabi\n{extra}", "fit.cfg")
+        return cli.run(config_path=cfg, outdir=tmp_path / "fit")
+
+    def test_sigma_read_from_the_input(self, tmp_path, capsys):
+        data_path = _irf_counts_file(tmp_path, 1.4753, 0.1, 7)
+        assert self._fit(tmp_path, data_path) == 0
+        assert "(converged=True)" in capsys.readouterr().out
+        report = (tmp_path / "fit" / "fit_report.csv").read_text()
+        assert "\n# fit_irf_sigma_ns=0.1\n" in report
+        values = _report_values(tmp_path / "fit" / "fit_report.csv")
+        assert abs(values["omega_ghz"] - 1.4753) <= 0.02 * 1.4753
+
+    def _with_sigma_line(self, tmp_path, data_path, text):
+        """A copy of ``data_path`` whose ``# irf_sigma_ns=`` line reads ``text``."""
+        lines = data_path.read_text().splitlines(True)
+        copy = tmp_path / "edited.csv"
+        copy.write_text("".join(f"# irf_sigma_ns={text}\n" if line.startswith("# irf_sigma_ns=")
+                                else line for line in lines))
+        return copy
+
+    def test_malformed_sigma_line_fails_only_the_rabi_fit(self, tmp_path, capsys):
+        data_path = self._with_sigma_line(tmp_path, _irf_counts_file(tmp_path, 1.4753, 0.1, 7),
+                                          "wide")
+        capsys.readouterr()
+        assert self._fit(tmp_path, data_path) == 3
+        assert "irf_sigma_ns line 'wide' is not a number" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, f"experiment = fit\ninput = {data_path}\n"
+                                  "fit_model = exp_decay\n", "decay.cfg")
+        assert cli.run(config_path=cfg, outdir=tmp_path / "decay") == 0
+
+    def test_huge_sigma_line_exits_3_before_building_the_kernel(self, tmp_path, capsys):
+        # 1e9 ns at 0.02 ns bins would be a kernel of 5e11 samples
+        data_path = self._with_sigma_line(tmp_path, _irf_counts_file(tmp_path, 1.4753, 0.1, 7),
+                                          "1e9")
+        capsys.readouterr()
+        assert self._fit(tmp_path, data_path) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: ModelError: irf sigma 1000000000.0 ns: its 500000000001-sample "
+                       "kernel does not fit in the 1051 data points\n")
+
+    def test_broadened_input_fitted_without_its_irf_exits_3_quietly(self, tmp_path, capsys):
+        # an Omega/2pi = 1.688 GHz g2 through a 0.15 ns IRF, its sigma line
+        # deleted: trial steps overflow exp in the log reparameterization
+        data_path = _irf_counts_file(tmp_path, 1.6880158234919074, 0.15, 823501810)
+        stripped = tmp_path / "stripped.csv"
+        stripped.write_text("".join(line for line in data_path.read_text().splitlines(True)
+                                    if not line.startswith("# irf_sigma_ns=")))
+        capsys.readouterr()
+        assert self._fit(tmp_path, stripped) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericFailure: ")
+        assert err.count("\n") == 1
+        assert "Warning" not in err and "Traceback" not in err
+
+
 class TestErrorPaths:
+    def test_irf_wider_than_the_trace_exits_3_at_once(self, tmp_path, capsys):
+        # rejected before the 5e11-sample kernel of 1e9 ns at 0.02 ns bins is built
+        assert cli.run(experiment="g2", outdir=tmp_path / "out",
+                       overrides={"irf_sigma_ns": 1e9}) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelError: irf sigma 1000000000.0 exceeds a quarter "
+                              "of the trace span")
+        assert err.count("\n") == 1
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.run(config_path=tmp_path / "nope.cfg",
                        outdir=tmp_path / "out") == 2
@@ -554,6 +631,17 @@ class TestErrorPaths:
         # read_csv rejects a non-finite cell
         _, _, data = csvio.read_csv(tmp_path / "out" / f"{experiment}.csv")
         assert data.shape[0] >= 501
+
+    @pytest.mark.parametrize("experiment,key,value,message", [
+        ("ramsey", "tau_max_ns", 1e-300, "constant data: nothing decays"),
+        ("lifetime", "t_max_ns", 1e-6, "max iterations (500) reached"),
+        ("pulsed_rabi", "p_max_nw", 1e-300, "zero-amplitude data"),
+    ])
+    def test_unconverged_fit_summary_prints_the_message(self, tmp_path, capsys,
+                                                        experiment, key, value, message):
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: value}) == 0
+        assert f"fit not converged ({message})" in capsys.readouterr().out
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emitterlab import fitkit, qdyn, synth, tls
+from emitterlab import fitkit, photostats, qdyn, synth, tls
 from emitterlab.errors import ModelError
 from emitterlab.qdyn import TimeGrid, TimeTrace
 
@@ -147,6 +147,81 @@ class TestFitRabi:
         res = fitkit.fit_rabi(TimeTrace(grid, y), t1_fixed=1.85)
         assert not res.converged
         assert "periods" in res.message
+
+
+def irf_counts(rabi_ghz, sigma, seed, scale=1e4):
+    """Poisson counts of the default g2 (501 delays to 10 ns) through an IRF."""
+    g2 = photostats.g2_curve(tls.TlsParams(1.85, 1.62), tls.Drive(rabi_ghz),
+                             TimeGrid(0.0, 10.0, 501))
+    grid, counts = synth.synth_counts(g2, synth.NoiseSpec(seed=seed, scale=scale,
+                                                          irf_sigma=sigma))
+    return TimeTrace(grid, counts.astype(float))
+
+
+class TestFitRabiThroughIrf:
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3])
+    def test_model_at_truth_is_apply_irf_of_clean_curve(self, sigma):
+        # dt = 1/64 ns: every grid time is exact, so both sides see one curve
+        grid = TimeGrid(-8.0, 8.0, 1025)
+        mode = tls.resolve_mu_mode("auto")
+        clean = tls.rabi_population_analytic(tls.TlsParams(1.85, 1.62),
+                                             tls.Drive(1.304), grid.times(), mode)
+        smeared = photostats.apply_irf(TimeTrace(grid, clean), sigma)
+        kernel = photostats.irf_kernel(sigma, smeared.grid.dt)
+        model = fitkit.rabi_model(smeared.grid.times(), 1.304, 1.62, 1.0, 0.0, 0.0,
+                                  t1_ns=1.85, mu_mode=mode, kernel=kernel)
+        assert smeared.grid.n_points > grid.n_points
+        assert np.max(np.abs(model - smeared.values)) <= 1e-15
+
+    @pytest.mark.parametrize("rabi_ghz,sigma,seed", [
+        (1.4753, 0.1, 1), (0.9084, 0.3, 2), (1.1481, 0.3, 3),
+    ])
+    def test_broadened_counts_recovered(self, rabi_ghz, sigma, seed):
+        res = fitkit.fit_rabi(irf_counts(rabi_ghz, sigma, seed), t1_fixed=1.85,
+                              irf_sigma=sigma)
+        assert res.converged
+        assert res.n_iter <= 8
+        assert res["omega_ghz"] == pytest.approx(rabi_ghz, rel=0.02)
+        assert res["t2_ns"] == pytest.approx(1.62, rel=0.10)
+
+    @pytest.mark.parametrize("clean", [False, True])
+    def test_washed_out_oscillation_not_converged(self, clean):
+        # sigma = 0.3 ns keeps exp(-(2 pi f sigma)^2 / 2) = 0.2% of 1.86 GHz
+        if clean:
+            g2 = photostats.g2_curve(tls.TlsParams(1.85, 1.62), tls.Drive(1.86),
+                                     TimeGrid(0.0, 10.0, 501))
+            data = photostats.apply_irf(g2, 0.3)
+        else:
+            data = irf_counts(1.864693355170244, 0.3, 1307075584)
+        res = fitkit.fit_rabi(data, t1_fixed=1.85, irf_sigma=0.3)
+        assert not res.converged
+        assert "IRF (irf_sigma_ns=0.3)" in res.message
+
+    def test_frequency_above_nyquist_not_converged(self):
+        # 0.02% of the oscillation survives at about 100 counts per bin; the
+        # fit runs off to an omega far above the 25 GHz Nyquist frequency of
+        # 0.02 ns bins
+        res = fitkit.fit_rabi(irf_counts(2.2, 0.3, 1, scale=100),
+                              t1_fixed=1.85, irf_sigma=0.3)
+        assert not res.converged
+        assert res["omega_ghz"] > 25.0
+        assert "above the Nyquist frequency 25 GHz" in res.message
+        assert "IRF (irf_sigma_ns=0.3)" in res.message
+
+    @pytest.mark.parametrize("rabi_ghz,scale,seed", [
+        (0.02, 100, 0), (0.1, 100, 0), (0.02, 10, 0), (0.1, 10, 1),
+    ])
+    def test_low_count_slow_curve_not_converged(self, rabi_ghz, scale, seed):
+        # without an IRF: a curve of fewer than 3 periods stays unfitted
+        # however the noise peaks of its spectrum fall
+        res = fitkit.fit_rabi(irf_counts(rabi_ghz, 0.0, seed, scale=scale), t1_fixed=1.85)
+        assert not res.converged
+        assert res.message.startswith("data covers only ")
+        assert res.message.endswith(" oscillation periods (< 3)")
+
+    def test_kernel_longer_than_data_rejected(self):
+        with pytest.raises(ModelError, match="201-sample kernel does not fit in the 101 data"):
+            fitkit.fit_rabi(synthetic_rabi_trace(n=101), t1_fixed=1.85, irf_sigma=2.0)
 
 
 class TestFitLinearSqrtp:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emitterlab import fitkit, qdyn, ramsey, tls
-from emitterlab.errors import ModelError
+from emitterlab.errors import ModelError, NumericFailure
 from emitterlab.qdyn import TimeGrid
 
 PULSE = tls.PulseEnvelope("square", 0.01, 1.0)
@@ -157,6 +157,12 @@ class TestComposedMaps:
         with pytest.raises(ModelError,
                            match="Ramsey final state trace differs from 1 by 1.000e"):
             ramsey.population_table(tls.TlsParams(1.85, 0.78), PULSE, [0.5], [0.1])
+
+    def test_invalid_first_pulse_state_rejected(self):
+        # t2 = 1e-9 ns: the first pulse's propagated state loses 6.9e-9 of its trace
+        with pytest.raises(NumericFailure, match="Ramsey first-pulse state trace differs "
+                                                 "from 1 by 6.860e-09"):
+            ramsey.population_table(tls.TlsParams(1.85, 1e-9), PULSE, [0.5], [0.1])
 
     def test_empty_scans_give_empty_tables(self):
         params = tls.TlsParams(1.85, 0.78)

@@ -61,6 +61,9 @@ MUTATIONS = [
      "    if not worst < STEADY_STATE_RESIDUAL_TOL:\n", "    if False:\n"),
     ("correlator stationarity", QDYN,
      "    if stationarity > 1e-8:\n", "    if False:\n"),
+    ("Ramsey first-pulse state", "src/emitterlab/ramsey.py",
+     '    qdyn.check_density_matrix(first, "Ramsey first-pulse state", error=NumericFailure)\n',
+     "    pass\n"),
     ("Ramsey final state", "src/emitterlab/ramsey.py",
      '    qdyn.check_density_matrix(finals, "Ramsey final state")\n', "    pass\n"),
     ("correlator imaginary part", "src/emitterlab/tls.py",
@@ -69,6 +72,8 @@ MUTATIONS = [
      "    if np.min(g2) < -1e-9:\n", "    if False:\n"),
     ("emission spectrum negativity", "src/emitterlab/photostats.py",
      "    if np.min(s) < floor:\n", "    if False:\n"),
+    ("Rabi fit washout: frequency above Nyquist", "src/emitterlab/fitkit.py",
+     '    if result.converged and result["omega_ghz"] > nyquist:\n', "    if False:\n"),
 ]
 
 
