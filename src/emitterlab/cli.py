@@ -21,6 +21,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -339,6 +340,14 @@ def _row(label, passed, value=math.nan, expected=math.nan, tol=math.nan) -> dict
             "status": "PASS" if passed else "FAIL"}
 
 
+def _oracle_mode() -> str:
+    """The mu mode of the sign oracle, or 'unresolved' when it fails (a FAIL row says why)."""
+    try:
+        return tls.mu_mode_oracle().mode
+    except NumericFailure:
+        return "unresolved"
+
+
 def reproduce_all(outdir=None, plot: bool = False) -> int:
     """Re-run every figure-style computation and check the headline anchors.
 
@@ -371,12 +380,17 @@ def reproduce_all(outdir=None, plot: bool = False) -> int:
         data = [step(folder) for folder in steps]
         if any(d is None for d in data):
             continue
-        if expected is None:
-            passed, *shown = value(*data)
-            rows.append(_row(label.format(*shown), passed))
+        try:
+            if expected is None:
+                passed, *shown = value(*data)
+                rows.append(_row(label.format(*shown), passed))
+                continue
+            got = value(*data)
+            tol = tol(*data) if callable(tol) else tol
+        except Exception as exc:  # keep going; report the failure
+            name = re.sub(r"\{[^}]*\}", "?", label)  # the fields it could not fill
+            rows.append(_row(f"{name}: check failed ({type(exc).__name__}: {exc})", False))
             continue
-        got = value(*data)
-        tol = tol(*data) if callable(tol) else tol
         rows.append(_row(label, abs(got - expected) <= tol, got, expected, tol))
 
     n_fail = sum(1 for row in rows if row["status"] == "FAIL")
@@ -394,7 +408,7 @@ def reproduce_all(outdir=None, plot: bool = False) -> int:
         ["check", "value", "expected", "tolerance", "status"],
         ((r["check"], r["value"], r["expected"], r["tolerance"], r["status"])
          for r in rows),
-        {"artifact_version": __version__, "mu_mode": tls.mu_mode_oracle().mode,
+        {"artifact_version": __version__, "mu_mode": _oracle_mode(),
          "n_checks": len(rows), "n_failed": n_fail},
     )
     print(f"summary written to {out / 'summary.csv'}"

@@ -8,7 +8,7 @@ then one row per record.  Matrices are stored long-form as
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,41 +47,66 @@ def write_csv(path, header, rows, meta: dict | None = None) -> None:
 def read_csv(path):
     """Read back (meta, header, data) from :func:`write_csv` output.
 
-    A non-numeric or non-finite cell, or a row of the wrong width, raises
-    :class:`ModelError` naming the file and line.
+    Blank lines and ``#`` lines may appear anywhere.  The numeric body is
+    parsed in one ``np.array(cells, dtype=float)``, which accepts exactly
+    what ``float()`` accepts.  A non-numeric or non-finite cell, or a row
+    of the wrong width, raises :class:`ModelError` naming the file and line.
     """
     meta: dict = {}
     header = None
-    data = []
-    for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = raw.strip()
+    body = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line in map(str.strip, lines):
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            entry = line[1:].strip()
+            if "=" in entry:
+                key, _, value = entry.partition("=")
                 meta[key.strip()] = value.strip()
             continue
         if header is None:
             header = [c.strip() for c in line.split(",")]
             continue
+        body.append(line)
+    if header is None:
+        raise ModelError(f"{path} contains no header row")
+    if not body:
+        return meta, header, np.array([], dtype=float)
+    width = len(header)
+    # every row has width - 1 commas, so the cells reshape row by row; any
+    # failure is parsed again row by row for the message
+    if set(map(str.count, body, repeat(","))) == {width - 1}:
+        try:
+            data = np.array(",".join(body).split(","), dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.all(np.isfinite(data)):
+                return meta, header, data.reshape(len(body), width)
+    return meta, header, _parse_rows(path, lines, width)
+
+
+def _parse_rows(path, lines, width: int) -> np.ndarray:
+    """The body of ``lines`` parsed row by row, so that the first row that is
+    not ``width`` finite numbers raises :class:`ModelError` naming its line."""
+    stripped = (line.strip() for line in lines)
+    numbered = [(n, line) for n, line in enumerate(stripped, start=1)
+                if line and not line.startswith("#")]
+    data = []
+    for lineno, line in numbered[1:]:  # numbered[0] is the header
         try:
             row = [float(v) for v in line.split(",")]
         except ValueError:
             raise ModelError(f"{path}:{lineno}: non-numeric row {line!r}")
         if not all(map(math.isfinite, row)):
             raise ModelError(f"{path}:{lineno}: non-finite value in row {line!r}")
-        if len(row) != len(header):
+        if len(row) != width:
             raise ModelError(
-                f"{path}:{lineno}: row has {len(row)} columns, header has {len(header)}"
+                f"{path}:{lineno}: row has {len(row)} columns, header has {width}"
             )
         data.append(row)
-    if header is None:
-        raise ModelError(f"{path} contains no header row")
-    return meta, header, np.array(data, dtype=float)
+    return np.array(data, dtype=float)
 
 
 def long_form(row_values, col_values, matrix) -> np.ndarray:

@@ -626,7 +626,12 @@ def _fit(cfg):
     irf_sigma_ns=_IRF_SIGMA,
 )
 def _synth(cfg):
-    _, header, x, y = _read_xy(cfg)
+    meta, header, x, y = _read_xy(cfg)
+    input_sigma = _irf_sigma(cfg, meta)
+    if input_sigma > 0 and cfg["irf_sigma_ns"] > 0:
+        raise ModelError(f"input {cfg['input']}: its '# irf_sigma_ns={meta['irf_sigma_ns']}' "
+                         "line says it is already broadened by an IRF; synth with "
+                         "irf_sigma_ns = 0, or give it an unbroadened input")
     trace = _uniform_trace(x, y, "synth input")
     noise = synth.NoiseSpec(
         seed=cfg["seed"],
@@ -640,4 +645,6 @@ def _synth(cfg):
         {"counts": counts},
         **_curve("synth_counts", header[0], "counts", grid.times(), counts,
                  "synthetic counts", header[0]),
+        # the counts carry the input's IRF, which the rabi fit reads back
+        meta={"irf_sigma_ns": input_sigma} if input_sigma > 0 else {},
     )

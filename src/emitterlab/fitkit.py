@@ -11,7 +11,9 @@ below 1e-10 or step norm below 1e-12, capped at 500 iterations.
 unit weights for normalized curves; the other fits use unit weights.  The
 fits take their data as (x, y) arrays, :func:`fit_rabi` as a uniformly
 sampled trace.  Initialization heuristics are fixed so fits reproduce
-without hand-tuned seeds: Rabi frequency from the FFT peak, decay
+without hand-tuned seeds: Rabi frequency from the FFT peak (through an
+IRF, if that peak is too slow, from the spectrum with the IRF transfer
+divided out), decay
 constants from log-linear regression, Lorentzian moments from
 half-maximum crossings.
 """
@@ -26,7 +28,8 @@ import numpy as np
 
 from . import tls
 from .errors import ModelError, NumericFailure
-from .photostats import fft_peaks, irf_half_width, irf_kernel
+from .peaks import parabolic_refine
+from .photostats import fft_peaks, hann_spectrum, irf_half_width, irf_kernel
 from .qdyn import TimeGrid, TimeTrace
 
 MAX_ITER = 500
@@ -35,6 +38,11 @@ STEP_TOL = 1e-12
 _JAC_REL_STEP = 1e-6
 _OVERFLOW = "fit overflows float64: {} beyond 1.8e308; rescale the data"
 _IDENTITY = np.ones(1)  # the detector response of an ideal detector
+# the smallest share of an oscillation that the IRF may keep for it to be fitted
+_IRF_MIN_TRANSFER = 1e-2
+# an IRF-corrected spectral peak sets the start frequency only above this many
+# times the Poisson noise RMS of its bin (noise exceeds it with p = exp(-9))
+_PEAK_NOISE_RATIO = 3.0
 
 
 @dataclass
@@ -274,6 +282,45 @@ def _estimate_omega(x: np.ndarray, y: np.ndarray):
     return found[0][0]
 
 
+def _irf_omega(data: TimeTrace, sigma: float, half_width: int) -> tuple:
+    """The start frequency of a fit through an IRF of width ``sigma``.
+
+    Searches the :func:`photostats.hann_spectrum` of the data less the kernel
+    half-width at each end, whose zero-extended edges would otherwise
+    dominate, divided by the IRF transfer exp(-(2 pi f sigma)^2 / 2), in the
+    band f >= 3 / span where that transfer is at least ``_IRF_MIN_TRANSFER``.
+
+    Returns
+    -------
+    (float or None, str or None)
+        ``(frequency, None)`` for the refined strongest peak;
+        ``(None, why)`` when that peak lies within 2 bins of the band's
+        upper edge, where the division amplifies noise most and an
+        oscillation above the band looks the same; ``(None, None)`` when
+        the peak is below ``_PEAK_NOISE_RATIO`` times the Poisson noise
+        RMS of a bin, so no oscillation is found.
+    """
+    grid, n_inner = data.grid, data.values.size - 2 * half_width
+    values = data.values[half_width:half_width + n_inner]
+    inner = TimeTrace(TimeGrid(grid.t_start + half_width * grid.dt,
+                               grid.t_end - half_width * grid.dt, n_inner), values)
+    freqs, mag = hann_spectrum(inner)
+    transfer = np.exp(-0.5 * (tls.TWO_PI * sigma * freqs) ** 2)
+    band = np.flatnonzero((transfer >= _IRF_MIN_TRANSFER)
+                          & (freqs >= 3.0 / (grid.t_end - grid.t_start)))
+    edge = min(math.sqrt(-2.0 * math.log(_IRF_MIN_TRANSFER)) / (tls.TWO_PI * sigma),
+               freqs[-1])
+    corrected = mag[band] / transfer[band]
+    peak = int(np.argmax(corrected)) if band.size else -1
+    if peak < 0 or freqs[band[peak]] > edge - 2.0 * freqs[1]:
+        return None, (f"strongest spectral peak at the IRF band edge {edge:.3g} GHz, "
+                      f"where the IRF keeps {_IRF_MIN_TRANSFER:.0%} of an oscillation")
+    noise = math.sqrt(np.sum(np.hanning(n_inner) ** 2 * np.maximum(values, 1.0)))
+    if mag[band[peak]] < _PEAK_NOISE_RATIO * noise:
+        return None, None
+    return parabolic_refine(freqs[band], corrected, peak)[0], None
+
+
 def _through_irf(message: str, irf_sigma: float) -> str:
     """A failed Rabi fit's message, naming the detector response if there is one."""
     if irf_sigma == 0.0:
@@ -289,9 +336,13 @@ def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
     width ``irf_sigma`` (ns), built once by :func:`photostats.irf_kernel`:
     the forward map that ``synth`` and ``g2`` apply.  Free parameters:
     omega_ghz, t2_ns, scale_a, offset_dg, dt_ns; t1 is a measured input,
-    never fitted.  Non-oscillatory data, and a fitted frequency above the
-    Nyquist frequency of the sampling (an oscillation the IRF washed out),
-    come back with ``converged=False`` and a diagnostic instead of raising.
+    never fitted.  The start frequency is the strongest spectral peak; where
+    that covers fewer than 3 periods through an IRF, :func:`_irf_omega`
+    searches again with the IRF divided out.  Non-oscillatory data, a
+    spectral peak at the edge of the band the IRF lets through, and a
+    fitted frequency above the Nyquist frequency of the sampling (an
+    oscillation the IRF washed out) come back with ``converged=False`` and
+    a diagnostic instead of raising.
     """
     mode = tls.resolve_mu_mode(mu_mode)
     x = data.grid.times()
@@ -304,10 +355,17 @@ def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
     init = {"omega_ghz": 1.0, "t2_ns": t1_fixed, "scale_a": 1.0,
             "offset_dg": 0.0, "dt_ns": 0.0}
     omega0 = _estimate_omega(x, y)
+    span = float(x[-1] - x[0])
+    if irf_sigma > 0.0 and (omega0 is None or span * omega0 < 3.0):
+        # the plain spectrum peaks at the edges that the IRF smears
+        irf_omega0, why = _irf_omega(data, irf_sigma, kernel.size // 2)
+        if why is not None:
+            return _failed(init, _through_irf(why, irf_sigma))
+        if irf_omega0 is not None:
+            omega0 = irf_omega0
     if omega0 is None:
         return _failed(init, _through_irf("non-oscillatory data: no spectral peak found",
                                           irf_sigma))
-    span = float(x[-1] - x[0])
     if span * omega0 < 3.0:
         return _failed(init, _through_irf(
             f"data covers only {span * omega0:.2f} oscillation periods (< 3)", irf_sigma))

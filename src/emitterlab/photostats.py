@@ -6,7 +6,8 @@ traces, and the incoherent resonance-fluorescence (Mollow) spectrum.
 :func:`g2_curve` and :func:`apply_irf` return a :class:`TimeTrace` on the
 grid they build; :func:`irf_kernel` is the detector response that
 :func:`apply_irf` and the reconvolution fit of :mod:`fitkit` share;
-:func:`fft_peaks` returns the sorted peaks and the bin width;
+:func:`hann_spectrum` is the windowed magnitude spectrum that
+:func:`fft_peaks` searches, which returns the sorted peaks and the bin width;
 :func:`emission_spectrum` returns the intensity at each requested
 frequency.
 """
@@ -97,11 +98,18 @@ def apply_irf(trace: TimeTrace, sigma: float) -> TimeTrace:
     return TimeTrace(grid=grid, values=np.convolve(trace.values, kernel, mode="full"))
 
 
-def fft_peaks(trace: TimeTrace):
-    """Peaks of the Hann-windowed magnitude spectrum of a trace, and its bin width.
+def hann_spectrum(trace: TimeTrace) -> tuple:
+    """(freqs_ghz, magnitude) of a trace: mean removed, Hann window, FFT zero-padded 4x."""
+    y = trace.values - np.mean(trace.values)
+    n_fft = 4 * y.size
+    mag = np.abs(np.fft.rfft(y * np.hanning(y.size), n_fft))
+    return np.fft.rfftfreq(n_fft, d=trace.grid.dt), mag
 
-    The trace mean is removed, a Hann window applied and the FFT zero-padded
-    4x.  Peaks are interior local maxima above 5% of the global maximum,
+
+def fft_peaks(trace: TimeTrace):
+    """Peaks of the :func:`hann_spectrum` of a trace, and its bin width.
+
+    Peaks are interior local maxima above 5% of the global maximum,
     refined by 3-point parabolic interpolation.
 
     Returns
@@ -110,10 +118,7 @@ def fft_peaks(trace: TimeTrace):
         The peaks sorted by magnitude (ties toward lower frequency) and the
         frequency bin width in GHz.
     """
-    y = trace.values - np.mean(trace.values)
-    n_fft = 4 * y.size
-    mag = np.abs(np.fft.rfft(y * np.hanning(y.size), n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=trace.grid.dt)
+    freqs, mag = hann_spectrum(trace)
     found = [peaks.parabolic_refine(freqs, mag, i)
              for i in peaks.local_maxima(mag, min_fraction=0.05)]
     found.sort(key=lambda fm: (-fm[1], fm[0]))

@@ -3,11 +3,13 @@ import math
 import struct
 import xml.etree.ElementTree as ET
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from emitterlab import cli, csvio, fitkit, svgplot
+from emitterlab.errors import ModelError, NumericFailure
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -522,6 +524,36 @@ class TestRabiFitThroughIrf:
         assert err.count("\n") == 1
         assert "Warning" not in err and "Traceback" not in err
 
+    def _broadened_g2(self, tmp_path):
+        cfg = write_cfg(tmp_path, "experiment = g2\nrabi_ghz = 1.4753\nirf_sigma_ns = 0.1\n",
+                        "g2.cfg")
+        assert cli.run(config_path=cfg, outdir=tmp_path / "g2") == 0
+        return tmp_path / "g2" / "g2.csv"
+
+    def test_synth_refuses_an_already_broadened_input(self, tmp_path, capsys):
+        # a second IRF on top of the first would be recorded as the only one
+        g2 = self._broadened_g2(tmp_path)
+        cfg = write_cfg(tmp_path, f"experiment = synth\ninput = {g2}\nirf_sigma_ns = 0.2\n",
+                        "synth.cfg")
+        capsys.readouterr()
+        assert cli.run(config_path=cfg, outdir=tmp_path / "synth") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ModelError: input {g2}: its '# irf_sigma_ns=0.1' line ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "synth" / "synth_counts.csv").exists()
+
+    def test_synth_without_irf_carries_the_input_irf(self, tmp_path, capsys):
+        g2 = self._broadened_g2(tmp_path)
+        cfg = write_cfg(tmp_path, f"experiment = synth\ninput = {g2}\nseed = 7\n", "synth.cfg")
+        assert cli.run(config_path=cfg, outdir=tmp_path / "synth") == 0
+        counts = tmp_path / "synth" / "synth_counts.csv"
+        assert "\n# irf_sigma_ns=0.1\n" in counts.read_text()
+        capsys.readouterr()
+        assert self._fit(tmp_path, counts) == 0
+        assert "(converged=True)" in capsys.readouterr().out
+        values = _report_values(tmp_path / "fit" / "fit_report.csv")
+        assert abs(values["omega_ghz"] - 1.4753) <= 0.02 * 1.4753
+
 
 class TestErrorPaths:
     def test_irf_wider_than_the_trace_exits_3_at_once(self, tmp_path, capsys):
@@ -714,6 +746,89 @@ class TestReproduceAll:
         assert "transform-limited linewidth 86 MHz" in out
         assert "mu_mode oracle selects" in out
         assert (tmp_path / "repro" / "summary.csv").exists()
+        # every document it writes reads back as the row-by-row reader reads it
+        paths = sorted((tmp_path / "repro").rglob("*.csv"))
+        assert len(paths) > 20
+        for path in paths:
+            _assert_same_read(path)
+
+    def _cookbook_head(self, monkeypatch, value):
+        """CHECKS cut to the oracle, transform-limited and lifetime anchors,
+        the lifetime one's value function replaced by ``value``."""
+        label, steps, _, expected, tol = cli.CHECKS[2]
+        assert steps == ("lifetime",)
+        monkeypatch.setattr(cli, "CHECKS", [*cli.CHECKS[:2], (label, steps, value, expected, tol)])
+
+    def test_raising_check_is_a_fail_row(self, tmp_path, capsys, monkeypatch):
+        def broken(d):
+            raise KeyError("tau_ns")
+
+        self._cookbook_head(monkeypatch, broken)
+        assert cli.reproduce_all(tmp_path / "repro") == 1
+        out = capsys.readouterr().out
+        assert "  FAIL  lifetime 1.85 ns: check failed (KeyError: 'tau_ns')" in out
+        assert out.count("PASS") == 2
+        summary = (tmp_path / "repro" / "summary.csv").read_text()
+        assert "\n# n_failed=1\n" in summary and "\n# mu_mode=minus\n" in summary
+
+    def test_failing_oracle_is_a_fail_row(self, tmp_path, capsys, monkeypatch):
+        def no_oracle():
+            raise NumericFailure("neither mu mode matches the Lindblad oracle")
+
+        self._cookbook_head(monkeypatch, cli.CHECKS[2][2])
+        monkeypatch.setattr(cli.tls, "mu_mode_oracle", no_oracle)
+        assert cli.reproduce_all(tmp_path / "repro") == 1
+        out = capsys.readouterr().out
+        assert ("  FAIL  mu_mode oracle selects '?' (rms ? vs ?): check failed "
+                "(NumericFailure: neither mu mode matches the Lindblad oracle)") in out
+        assert "\n# mu_mode=unresolved\n" in (tmp_path / "repro" / "summary.csv").read_text()
+
+
+def _reference_read_csv(path):
+    """The former reader: one ``float()`` per cell, row by row."""
+    meta, header, data = {}, None, []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = value.strip()
+            continue
+        if header is None:
+            header = [c.strip() for c in line.split(",")]
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise ModelError(f"{path}:{lineno}: non-numeric row {line!r}")
+        if not all(map(math.isfinite, row)):
+            raise ModelError(f"{path}:{lineno}: non-finite value in row {line!r}")
+        if len(row) != len(header):
+            raise ModelError(
+                f"{path}:{lineno}: row has {len(row)} columns, header has {len(header)}"
+            )
+        data.append(row)
+    if header is None:
+        raise ModelError(f"{path} contains no header row")
+    return meta, header, np.array(data, dtype=float)
+
+
+def _assert_same_read(path):
+    """``csvio.read_csv`` returns or raises exactly what the former reader does."""
+    try:
+        expected = _reference_read_csv(path)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            csvio.read_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    meta, header, data = csvio.read_csv(path)
+    assert (meta, header) == expected[:2]
+    assert data.dtype == expected[2].dtype and data.shape == expected[2].shape
+    assert data.tobytes() == expected[2].tobytes()
 
 
 class TestCsvRoundTrip:
@@ -725,6 +840,57 @@ class TestCsvRoundTrip:
         meta, header, data = csvio.read_csv(path)
         assert meta["k"] == "v"
         assert np.array_equal(data[:, 0], values)
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([tiny, -tiny, 2.2250738585072009e-308, 0.0, -0.0,
+                           1.7976931348623157e308, -1.7976931348623157e308,
+                           0.1, 1 / 3, 2 / 3 * 1e-300, 123456789.12345678, -9.87654321e-7])
+        path = tmp_path / "rt.csv"
+        csvio.write_csv(path, ["a", "b", "c"], np.column_stack([values, values[::-1],
+                                                               np.arange(values.size)]))
+        _, header, data = csvio.read_csv(path)
+        assert header == ["a", "b", "c"]
+        assert data.shape == (values.size, 3)
+        assert data[:, 0].tobytes() == values.tobytes()  # the sign of -0.0 too
+        assert data[:, 1].tobytes() == values[::-1].tobytes()
+        _assert_same_read(path)
+
+    def test_comments_blank_lines_and_crlf_anywhere(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_bytes(b"# a=1\r\n\r\n x , y \r\n# b = 2\r\n1,2\r\n\r\n  \r\n"
+                         b"#c=3\r\n 3.5 , -0 \r\n# no key here\r\n1_0,4e-324\r\n")
+        meta, header, data = csvio.read_csv(path)
+        assert meta == {"a": "1", "b": "2", "c": "3"}
+        assert header == ["x", "y"]
+        assert data.tobytes() == np.array([[1.0, 2.0], [3.5, -0.0], [10.0, 5e-324]]).tobytes()
+        _assert_same_read(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("x,y\n1,2\n\n# note\nabc,4\n", ":5: non-numeric row 'abc,4'"),
+        ("x,y\n1,2\n3,\n", ":3: non-numeric row '3,'"),
+        ("x,y\n1,2\n3,4,oops\n5,nan\n", ":3: non-numeric row '3,4,oops'"),
+        ("x,y\n1,2\n# c\n3,nan\n", ":4: non-finite value in row '3,nan'"),
+        ("x,y\n1,2\n3,1e400\n", ":3: non-finite value in row '3,1e400'"),
+        ("x,y\n1,2\n3,4,5\n", ":3: row has 3 columns, header has 2"),
+        # a long row and a short one hold a whole number of rows' cells
+        ("x,y\n1,2,3\n4\n", ":2: row has 3 columns, header has 2"),
+        ("x,y\n1,2\n3\n4,5,inf\n", ":3: row has 1 columns, header has 2"),
+        ("x\n1\n2,3\n", ":3: row has 2 columns, header has 1"),
+    ])
+    def test_malformed_rows_named_as_before(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ModelError) as got:
+            csvio.read_csv(path)
+        assert str(got.value) == f"{path}{message}"
+        _assert_same_read(path)
+
+    @pytest.mark.parametrize("text", ["", "# only=meta\n\n", "x,y\n", "x,y\n# k=v\n\n"])
+    def test_no_rows_read_as_before(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        _assert_same_read(path)
 
 
 def _reference_heatmap_pixels(z) -> np.ndarray:

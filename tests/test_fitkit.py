@@ -197,6 +197,31 @@ class TestFitRabiThroughIrf:
         assert not res.converged
         assert "IRF (irf_sigma_ns=0.3)" in res.message
 
+    @pytest.mark.parametrize("rabi_ghz,seed", [
+        # photon_stats seed-1 passes 21, 25 and 158: the IRF keeps 1.0-1.7%
+        # of the oscillation, and the plain spectrum peaks near 0.1 GHz
+        (1.5836573477779283, 1473305517), (1.5199529647507393, 1020265530),
+        (1.606717436472723, 567587874),
+    ])
+    def test_irf_corrected_start_finds_a_weak_oscillation(self, rabi_ghz, seed):
+        data = irf_counts(rabi_ghz, 0.3, seed)
+        assert fitkit._estimate_omega(data.grid.times(), data.values) < 0.15
+        res = fitkit.fit_rabi(data, t1_fixed=1.85, irf_sigma=0.3)
+        assert res.converged
+        assert res["omega_ghz"] == pytest.approx(rabi_ghz, rel=0.02)
+        assert res["t2_ns"] == pytest.approx(1.62, rel=0.10)
+
+    @pytest.mark.parametrize("rabi_ghz,seed", [(1.7, 3), (1.8, 1), (2.0, 1)])
+    def test_oscillation_above_the_irf_band_not_converged(self, rabi_ghz, seed):
+        # at 1e6 counts a bin the 0.08-0.6% of the oscillation that the IRF
+        # keeps is well above the noise, but outside the band where it keeps 1%
+        res = fitkit.fit_rabi(irf_counts(rabi_ghz, 0.3, seed, scale=1e6),
+                              t1_fixed=1.85, irf_sigma=0.3)
+        assert not res.converged
+        assert res.message == ("strongest spectral peak at the IRF band edge 1.61 GHz, where "
+                               "the IRF keeps 1% of an oscillation; no oscillation survives "
+                               "the IRF (irf_sigma_ns=0.3)")
+
     def test_frequency_above_nyquist_not_converged(self):
         # 0.02% of the oscillation survives at about 100 counts per bin; the
         # fit runs off to an omega far above the 25 GHz Nyquist frequency of

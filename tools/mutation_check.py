@@ -74,6 +74,14 @@ MUTATIONS = [
      "    if np.min(s) < floor:\n", "    if False:\n"),
     ("Rabi fit washout: frequency above Nyquist", "src/emitterlab/fitkit.py",
      '    if result.converged and result["omega_ghz"] > nyquist:\n', "    if False:\n"),
+    ("Rabi fit washout: peak at the IRF band edge", "src/emitterlab/fitkit.py",
+     "    if peak < 0 or freqs[band[peak]] > edge - 2.0 * freqs[1]:\n", "    if peak < 0:\n"),
+    ("Rabi fit start: IRF-corrected peak above the noise", "src/emitterlab/fitkit.py",
+     "    if mag[band[peak]] < _PEAK_NOISE_RATIO * noise:\n", "    if False:\n"),
+    ("CSV body width", "src/emitterlab/csvio.py",
+     '    if set(map(str.count, body, repeat(","))) == {width - 1}:\n', "    if True:\n"),
+    ("CSV body finiteness", "src/emitterlab/csvio.py",
+     "            if np.all(np.isfinite(data)):\n", "            if True:\n"),
 ]
 
 
