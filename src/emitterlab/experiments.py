@@ -29,7 +29,7 @@ from . import csvio, fitkit, lambda_system, photostats, qdyn, ramsey, synth, tls
 from .errors import ConfigError, ModelError
 from .qdyn import TimeGrid, TimeTrace
 
-_SAT_RABI_GHZ = 1.0 / (2.0 * math.pi * math.sqrt(1.85 * 1.62))
+SAT_RABI_GHZ = 1.0 / (2.0 * math.pi * math.sqrt(1.85 * 1.62))
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ def _lambda_keys():
     }
 
 
-_MU_MODE = Key(str, "auto", choices=("auto", "minus", "plus"))
 _PULSE_SHAPE = Key(str, "square", choices=("square", "gaussian"))
 _IRF_SIGMA = Key(float, 0.0, minimum=0.0)
 
@@ -248,20 +247,16 @@ def _curve(stem, xname, yname, x, y, title, xlabel) -> dict:
     "rabi_analytic",
     **_tls_keys(),
     **_drive_keys(0.906),
-    mu_mode=_MU_MODE,
     tau_max_ns=Key(float, 10.0),
     n_points=Key(int, 501),
 )
 def _rabi_analytic(cfg):
     drive = tls.Drive(cfg["rabi_ghz"], cfg["detuning_ghz"])
     tau = TimeGrid(0.0, cfg["tau_max_ns"], cfg["n_points"]).times()
-    mode = tls.resolve_mu_mode(cfg["mu_mode"])
-    pop = tls.rabi_population_analytic(_params(cfg), drive, tau, mode)
+    pop = tls.rabi_population_analytic(_params(cfg), drive, tau)
     return Result(
-        f"rabi_analytic: Omega/2pi={cfg['rabi_ghz']} GHz, mu_mode={mode}, "
-        f"P(0)={pop[0]:.3g}",
+        f"rabi_analytic: Omega/2pi={cfg['rabi_ghz']} GHz, P(0)={pop[0]:.3g}",
         {"tau": tau, "population": pop},
-        meta={"mu_mode_resolved": mode},
         **_curve("rabi_analytic", "tau_ns", "population", tau, pop,
                  "damped Rabi population", "tau (ns)"),
     )
@@ -379,7 +374,7 @@ def _mollow_spectrum(cfg):
 @_register(
     "lineshape",
     **_tls_keys(),
-    rabi_ghz=Key(float, _SAT_RABI_GHZ, minimum=0.0),
+    rabi_ghz=Key(float, SAT_RABI_GHZ, minimum=0.0),
     span_ghz=Key(float, 1.2),
     n_points=Key(int, 161, minimum=5),
 )
@@ -390,7 +385,7 @@ def _lineshape(cfg):
     fwhm = _fitted(fit, f"FWHM={fit['fwhm'] * 1e3:.1f} MHz")
     return Result(
         f"lineshape: {fwhm} (Omega/2pi={cfg['rabi_ghz']:.4g} GHz)",
-        {"fit": fit},
+        {"fit": fit, "detunings": detunings, "pops": pops},
         fit=("lineshape_fit.csv", fit),
         **_curve("lineshape", "detuning_ghz", "population", detunings, pops,
                  "excitation lineshape", "detuning (GHz)"),
@@ -588,7 +583,7 @@ def _uniform_trace(x, y, what: str) -> TimeTrace:
 # fit_model -> fit of the (x, y) columns, given the config and the input's metadata
 FIT_MODELS = {
     "rabi": lambda x, y, cfg, meta: fitkit.fit_rabi(
-        _uniform_trace(x, y, "rabi fit"), t1_fixed=cfg["t1_ns"], mu_mode=cfg["mu_mode"],
+        _uniform_trace(x, y, "rabi fit"), t1_fixed=cfg["t1_ns"],
         irf_sigma=_irf_sigma(cfg, meta),
     ),
     "exp_decay": lambda x, y, cfg, meta: fitkit.fit_exp_decay(x, y),
@@ -603,7 +598,6 @@ FIT_MODELS = {
     input=Key(str, None),
     fit_model=Key(str, "exp_decay", choices=tuple(FIT_MODELS)),
     t1_ns=Key(float, 1.85),
-    mu_mode=_MU_MODE,
 )
 def _fit(cfg):
     meta, _, x, y = _read_xy(cfg)

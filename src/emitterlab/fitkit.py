@@ -255,8 +255,7 @@ def _failed(names: dict, message: str) -> FitResult:
 # -- damped-Rabi / g2 model ----------------------------------------------------
 
 
-def rabi_model(x, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns, t1_ns, mu_mode,
-               kernel=_IDENTITY):
+def rabi_model(x, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns, t1_ns, kernel=_IDENTITY):
     """scale_a * (kernel * P)(x) + offset_dg with the damped-Rabi P(|tau - dt|).
 
     The forward map of :func:`photostats.apply_irf`: P is evaluated on x
@@ -266,7 +265,7 @@ def rabi_model(x, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns, t1_ns, mu_mode,
     half_width = kernel.size // 2
     inner = x[half_width:x.size - half_width]
     omega_angular = tls.TWO_PI * omega_ghz
-    p = tls._population_formula(t1_ns, t2_ns, omega_angular, inner - dt_ns, mu_mode)
+    p = tls._population_formula(t1_ns, t2_ns, omega_angular, inner - dt_ns)
     return scale_a * np.convolve(p, kernel, mode="full") + offset_dg
 
 
@@ -328,8 +327,7 @@ def _through_irf(message: str, irf_sigma: float) -> str:
     return f"{message}; no oscillation survives the IRF (irf_sigma_ns={irf_sigma:g})"
 
 
-def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
-             irf_sigma: float = 0.0) -> FitResult:
+def fit_rabi(data: TimeTrace, t1_fixed: float, irf_sigma: float = 0.0) -> FitResult:
     """Reconvolution fit of a Rabi trace or g2 curve, Poisson-weighted.
 
     The model is :func:`rabi_model` through the detector response of
@@ -344,7 +342,6 @@ def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
     oscillation the IRF washed out) come back with ``converged=False`` and
     a diagnostic instead of raising.
     """
-    mode = tls.resolve_mu_mode(mu_mode)
     x = data.grid.times()
     y = data.values
     size = 2 * irf_half_width(irf_sigma, data.grid.dt) + 1
@@ -384,8 +381,7 @@ def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
     # shape of the point they differentiate at
     @functools.lru_cache(maxsize=8)
     def shape(omega_ghz, t2_ns, dt_ns):
-        return rabi_model(x, omega_ghz, t2_ns, 1.0, 0.0, dt_ns,
-                          t1_ns=t1_fixed, mu_mode=mode, kernel=kernel)
+        return rabi_model(x, omega_ghz, t2_ns, 1.0, 0.0, dt_ns, t1_ns=t1_fixed, kernel=kernel)
 
     def model(xv, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns):  # xv is x
         return scale_a * shape(omega_ghz, t2_ns, dt_ns) + offset_dg
@@ -400,7 +396,6 @@ def fit_rabi(data: TimeTrace, t1_fixed: float, mu_mode: str = "auto",
         result.message = _through_irf(
             f"fitted omega_ghz={result['omega_ghz']:.4g} is above the Nyquist "
             f"frequency {nyquist:.4g} GHz of the sampling", irf_sigma)
-    result.extra["mu_mode"] = mode
     result.extra["t1_ns_fixed"] = t1_fixed
     result.extra["irf_sigma_ns"] = irf_sigma
     return result

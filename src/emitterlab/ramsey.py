@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qdyn, tls
 from .errors import ModelError, NumericFailure
-from .tls import EXCITED, PROJ_EXCITED, RHO_GROUND, SIGMA_X, SIGMA_Y, TWO_PI
+from .tls import EXCITED, PROJ_EXCITED, RHO_GROUND, TWO_PI
 
 PULSE_AREA = 0.5 * math.pi
 
@@ -50,8 +50,8 @@ def population_table(
     t_end = pulse.on_end()
     # drive couplings at phase 0 (first pulse), then at each relative phase
     ph = np.concatenate([[0.0], phases])[:, None, None]
-    couplings = 0.5 * omega * (np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y)
-    maps = qdyn.propagator(l0, couplings, tls.envelope_segments(pulse, t_end), t_end)
+    maps = qdyn.propagator(l0, tls.drive_coupling(omega, ph),
+                           tls.envelope_segments(pulse, t_end), t_end)
     d = math.isqrt(l0.shape[-1])
     first = (maps[0] @ RHO_GROUND.reshape(-1)).reshape(d, d)
     qdyn.check_density_matrix(first, "Ramsey first-pulse state", error=NumericFailure)

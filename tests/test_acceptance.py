@@ -46,19 +46,21 @@ def test_01_transform_limited_linewidth():
 
 def test_02_analytic_vs_lindblad_oracle():
     with criterion("02 damped-Rabi formula vs Lindblad oracle (RMS < 1e-6)"):
-        oracle = tls.mu_mode_oracle()
-        rms = {"minus": oracle.rms_minus, "plus": oracle.rms_plus}
-        other = "plus" if oracle.mode == "minus" else "minus"
-        assert rms[oracle.mode] < 1e-6
-        assert rms[other] >= 1e3 * rms[oracle.mode]  # 3 orders of magnitude
+        rms = tls.closed_form_g2_rms()
+        assert rms < 1e-6
         params = tls.TlsParams(1.85, 1.62)
         grid = TimeGrid(0.0, 10.0, 501)
+        tau = grid.times()
+        # the other sign, mu^2 = Omega^2 + (1/(2 T1) - 1/(2 T2))^2, at the same point
+        eta, delta_rate = 0.5 / 1.85 + 0.5 / 1.62, 0.5 / 1.85 - 0.5 / 1.62
+        mu = math.sqrt((2 * math.pi) ** 2 + delta_rate**2)
+        plus = 1.0 - np.exp(-eta * tau) * (np.cos(mu * tau) + eta / mu * np.sin(mu * tau))
+        numeric = tls.normalized_correlator(params, tls.Drive(1.0), grid)
+        assert np.sqrt(np.mean((plus - numeric) ** 2)) >= 1e3 * rms  # 3 orders of magnitude
         for rabi_ghz in (0.906, 1.304, 1.854):
             drive = tls.Drive(rabi_ghz)
             numeric = tls.normalized_correlator(params, drive, grid)
-            analytic = tls.rabi_population_analytic(
-                params, drive, grid.times(), oracle.mode
-            )
+            analytic = tls.rabi_population_analytic(params, drive, tau)
             assert np.sqrt(np.mean((numeric - analytic) ** 2)) < 1e-6
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emitterlab import cli, csvio, fitkit, svgplot
+from emitterlab import cli, csvio, fitkit, qdyn, svgplot
 from emitterlab.errors import ModelError, NumericFailure
+from emitterlab.qdyn import TimeGrid, TimeTrace
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -195,8 +196,29 @@ class TestRun:
         meta, header, data = csvio.read_csv(tmp_path / "out" / "rabi_analytic.csv")
         assert header == ["tau_ns", "population"]
         assert data[0, 1] == 0.0  # P(0) = 0
-        assert meta["mu_mode_resolved"] in ("minus", "plus")
         assert "config_hash" in meta
+
+    @pytest.mark.parametrize("experiment", ["rabi_analytic", "fit"])
+    def test_mu_mode_key_exits_2(self, tmp_path, capsys, experiment):
+        # the damped-Rabi sign is fixed, so no config may choose it
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nmu_mode = minus\n")
+        assert cli.run(config_path=cfg, outdir=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "'mu_mode'" in err and "unknown key" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_closed_form_and_rabi_fit_solve_no_lindblad_model(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the Lindblad engine ran")
+
+        monkeypatch.setattr(qdyn, "regression_correlator", engine)
+        monkeypatch.setattr(qdyn, "steady_states", engine)
+        result = cli.EXPERIMENTS["rabi_analytic"].compute(
+            cli.validate_config("rabi_analytic", {}))
+        trace = TimeTrace(TimeGrid(0.0, 10.0, 501), 1e4 * result.data["population"])
+        fit = fitkit.fit_rabi(trace, t1_fixed=1.85)
+        assert fit.converged
+        assert fit["omega_ghz"] == pytest.approx(0.906, rel=1e-6)
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = rabi_analytic\nt3_ns = 1.0\n")
@@ -744,7 +766,8 @@ class TestReproduceAll:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "transform-limited linewidth 86 MHz" in out
-        assert "mu_mode oracle selects" in out
+        assert "damped-Rabi closed form vs Lindblad g2 (RMS)" in out
+        assert "lambda system with gamma_d = Omega_D = 0 is the TLS" in out
         assert (tmp_path / "repro" / "summary.csv").exists()
         # every document it writes reads back as the row-by-row reader reads it
         paths = sorted((tmp_path / "repro").rglob("*.csv"))
@@ -753,7 +776,7 @@ class TestReproduceAll:
             _assert_same_read(path)
 
     def _cookbook_head(self, monkeypatch, value):
-        """CHECKS cut to the oracle, transform-limited and lifetime anchors,
+        """CHECKS cut to the g2 closed-form, transform-limited and lifetime anchors,
         the lifetime one's value function replaced by ``value``."""
         label, steps, _, expected, tol = cli.CHECKS[2]
         assert steps == ("lifetime",)
@@ -769,19 +792,19 @@ class TestReproduceAll:
         assert "  FAIL  lifetime 1.85 ns: check failed (KeyError: 'tau_ns')" in out
         assert out.count("PASS") == 2
         summary = (tmp_path / "repro" / "summary.csv").read_text()
-        assert "\n# n_failed=1\n" in summary and "\n# mu_mode=minus\n" in summary
+        assert "\n# n_checks=3\n# n_failed=1\n" in summary
 
     def test_failing_oracle_is_a_fail_row(self, tmp_path, capsys, monkeypatch):
         def no_oracle():
-            raise NumericFailure("neither mu mode matches the Lindblad oracle")
+            raise NumericFailure("g2 correlator acquired an imaginary part")
 
         self._cookbook_head(monkeypatch, cli.CHECKS[2][2])
-        monkeypatch.setattr(cli.tls, "mu_mode_oracle", no_oracle)
+        monkeypatch.setattr(cli.tls, "closed_form_g2_rms", no_oracle)
         assert cli.reproduce_all(tmp_path / "repro") == 1
         out = capsys.readouterr().out
-        assert ("  FAIL  mu_mode oracle selects '?' (rms ? vs ?): check failed "
-                "(NumericFailure: neither mu mode matches the Lindblad oracle)") in out
-        assert "\n# mu_mode=unresolved\n" in (tmp_path / "repro" / "summary.csv").read_text()
+        assert ("  FAIL  damped-Rabi closed form vs Lindblad g2 (RMS): check failed "
+                "(NumericFailure: g2 correlator acquired an imaginary part)") in out
+        assert "\n# n_failed=1\n" in (tmp_path / "repro" / "summary.csv").read_text()
 
 
 def _reference_read_csv(path):
@@ -1003,7 +1026,7 @@ class TestCsvWriter:
 
     def test_string_columns(self, tmp_path):
         rows = [
-            ("mu_mode oracle selects 'minus' (rms 1.2e-16 vs 3.4e-01)", math.nan,
+            ("fitted T2 flat across drive powers (max deviation 0.0 ps)", math.nan,
              math.nan, math.nan, "PASS"),
             ("lifetime 1.85 ns", np.float64(1.8500000000000001), 1.85, 0.0185, "PASS"),
             ("Mollow sidebands at +/- Omega", 2.0000001, 2.0, 0.04, "FAIL"),

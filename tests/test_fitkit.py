@@ -110,11 +110,10 @@ class TestFitRabi:
     def test_offset_initial_guess_reaches_same_optimum(self):
         trace = synthetic_rabi_trace(rabi_ghz=1.0)
         baseline = fitkit.fit_rabi(trace, t1_fixed=1.85)
-        mode = tls.resolve_mu_mode("auto")
 
         def model(xv, omega_ghz, t2_ns, scale_a, offset_dg, dt_ns):
             return fitkit.rabi_model(xv, omega_ghz, t2_ns, scale_a, offset_dg,
-                                     dt_ns, t1_ns=1.85, mu_mode=mode)
+                                     dt_ns, t1_ns=1.85)
 
         shifted = {"omega_ghz": 1.3, "t2_ns": 1.62 * 0.7, "scale_a": 1.3,
                    "offset_dg": 0.0, "dt_ns": 0.0}
@@ -163,13 +162,12 @@ class TestFitRabiThroughIrf:
     def test_model_at_truth_is_apply_irf_of_clean_curve(self, sigma):
         # dt = 1/64 ns: every grid time is exact, so both sides see one curve
         grid = TimeGrid(-8.0, 8.0, 1025)
-        mode = tls.resolve_mu_mode("auto")
         clean = tls.rabi_population_analytic(tls.TlsParams(1.85, 1.62),
-                                             tls.Drive(1.304), grid.times(), mode)
+                                             tls.Drive(1.304), grid.times())
         smeared = photostats.apply_irf(TimeTrace(grid, clean), sigma)
         kernel = photostats.irf_kernel(sigma, smeared.grid.dt)
         model = fitkit.rabi_model(smeared.grid.times(), 1.304, 1.62, 1.0, 0.0, 0.0,
-                                  t1_ns=1.85, mu_mode=mode, kernel=kernel)
+                                  t1_ns=1.85, kernel=kernel)
         assert smeared.grid.n_points > grid.n_points
         assert np.max(np.abs(model - smeared.values)) <= 1e-15
 

@@ -57,6 +57,19 @@ class TestLambdaLiouvillian:
             rho = qdyn.steady_state(lam.lambda_liouvillian(params, drive))
             assert abs(np.trace(rho).real - 1.0) < 1e-9
 
+    def test_reduces_to_the_two_level_system(self):
+        # gamma_d = 0 and Omega_D = 0 leave |g_C>, |e> a TLS with T1 = 1/gamma_c
+        # and T2 = 1/(gamma_c/2 + gamma_phi_e); g_D relaxes into g_C and empties
+        params = lam.LambdaParams(gamma_c=0.6, gamma_d=0.0, gamma_phi_e=0.2)
+        emitter = tls.TlsParams(1.0 / 0.6, 1.0 / (0.3 + 0.2))
+        for omega_c in (0.1, 0.4, 1.2):
+            for delta_c in (-0.7, 0.0, 0.25):
+                l = lam.lambda_liouvillian(params, lam.LambdaDrive(omega_c, delta_c))
+                rho = qdyn.steady_state(l)
+                expected = tls.steady_population(emitter, omega_c, delta_c)
+                assert abs(rho[lam.E, lam.E].real - expected) < 1e-9
+                assert abs(rho[lam.G_D, lam.G_D]) < 1e-9
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ModelError):
             lam.LambdaParams(gamma_c=-0.1)

@@ -46,6 +46,21 @@ class TestTypes:
             tls.PowerCalib(0.0)
 
 
+class TestDriveCoupling:
+    def test_sigma_x_at_phase_zero(self):
+        # bit for bit the (Omega/2) sigma_x that every drive site built before
+        omega = 2 * np.pi * 1.304
+        assert np.array_equal(tls.drive_coupling(omega), 0.5 * omega * tls.SIGMA_X)
+        assert not np.any(np.signbit(tls.drive_coupling(omega).imag))
+
+    def test_sigma_y_at_quarter_phase_and_stacks(self):
+        phases = np.array([0.0, np.pi / 2])[:, None, None]
+        stack = tls.drive_coupling(np.array([2.0, 4.0])[:, None, None], phases)
+        assert stack.shape == (2, 2, 2)
+        assert np.allclose(stack[1], 2.0 * tls.SIGMA_Y, atol=1e-15)
+        assert np.array_equal(stack[0], tls.SIGMA_X)
+
+
 class TestGeneralizedRabi:
     def test_three_four_five(self):
         assert tls.generalized_rabi(tls.Drive(0.3, 0.4)) == pytest.approx(0.5)
@@ -76,14 +91,6 @@ class TestAnalyticPopulation:
             1.0, abs=1e-12
         )
 
-    def test_mu_oracle_selects_and_discriminates(self):
-        oracle = tls.mu_mode_oracle()
-        assert oracle.mode in ("minus", "plus")
-        rms = {"minus": oracle.rms_minus, "plus": oracle.rms_plus}
-        assert rms[oracle.mode] < 1e-6
-        other = "plus" if oracle.mode == "minus" else "minus"
-        assert rms[other] >= 1e3 * rms[oracle.mode]
-
     @pytest.mark.parametrize("rabi_ghz", [0.906, 1.304, 1.854])
     def test_matches_lindblad_correlator(self, emitter_params, rabi_ghz):
         drive = tls.Drive(rabi_ghz)
@@ -105,7 +112,7 @@ class TestAnalyticPopulation:
         params = tls.TlsParams(t1=10.0, t2=0.2)
         weak = tls.Drive(0.001)
         tau = np.linspace(0.0, 5.0, 200)
-        p = tls.rabi_population_analytic(params, weak, tau, mu_mode="minus")
+        p = tls.rabi_population_analytic(params, weak, tau)
         assert np.all(np.isfinite(p))
         assert np.all(np.diff(p) >= -1e-12)  # no oscillation when overdamped
 
@@ -115,7 +122,7 @@ class TestAnalyticPopulation:
         # forming the slow decay rate from the difference would lose 7 digits
         params = tls.TlsParams(t1=1.85, t2=1e-9)
         tau = np.linspace(0.0, 10.0, 501)
-        p = tls.rabi_population_analytic(params, tls.Drive(0.906), tau, mu_mode="minus")
+        p = tls.rabi_population_analytic(params, tls.Drive(0.906), tau)
         assert p[0] == 0.0
         assert np.all((p >= 0.0) & (p <= 1.0))
         assert np.all(np.diff(p) >= 0.0)
@@ -127,9 +134,9 @@ class TestAnalyticPopulation:
         # t1 = 1, t2 = 0.5, Omega_g = 0.5 make mu^2 exactly 0; one ulp either
         # side gives |mu^2| ~ 6e-17, so m ~ 7e-9 in the overdamped branch
         tau = np.linspace(0.0, 10.0, 101)
-        critical = tls._population_formula(1.0, 0.5, 0.5, tau, "minus")
+        critical = tls._population_formula(1.0, 0.5, 0.5, tau)
         for omega in (np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)):
-            p = tls._population_formula(1.0, 0.5, omega, tau, "minus")
+            p = tls._population_formula(1.0, 0.5, omega, tau)
             assert np.max(np.abs(p - critical)) < 1e-14
 
     def test_mu_zero_limit_continuous(self):
@@ -137,13 +144,9 @@ class TestAnalyticPopulation:
         eps = tls.Drive(1e-9 / (2 * np.pi))
         zero = tls.Drive(0.0)
         tau = np.linspace(0.0, 4.0, 50)
-        a = tls.rabi_population_analytic(params, eps, tau, mu_mode="minus")
-        b = tls.rabi_population_analytic(params, zero, tau, mu_mode="minus")
+        a = tls.rabi_population_analytic(params, eps, tau)
+        b = tls.rabi_population_analytic(params, zero, tau)
         assert np.max(np.abs(a - b)) < 1e-9
-
-    def test_invalid_mode_rejected(self, emitter_params):
-        with pytest.raises(ModelError):
-            tls.rabi_population_analytic(emitter_params, tls.Drive(1.0), 1.0, "guess")
 
 
 class TestRabiTrace:
@@ -229,6 +232,14 @@ class TestLineshape:
             pops = tls.excitation_lineshape(emitter_params, omega, x)
             widths.append(fitkit.fit_lorentzian_fwhm(x, pops)["fwhm"])
         assert widths[0] <= widths[1] <= widths[2]
+
+    @pytest.mark.parametrize("t2", [0.4, 1.62, 3.7])
+    def test_matches_closed_form(self, t2):
+        params = tls.TlsParams(1.85, t2)
+        x = np.linspace(-10.0, 10.0, 81)
+        for omega in (0.03, 0.3, 1.5):
+            pops = tls.excitation_lineshape(params, omega, x)
+            assert np.max(np.abs(pops - tls.steady_population(params, omega, x))) < 1e-9
 
     def test_narrow_range_rejected(self, emitter_params):
         with pytest.raises(ModelError, match="half maximum"):

@@ -1,12 +1,20 @@
-"""Mutation check of the engine's numerical guards: every check fails a test.
+"""Mutation check: every engine guard and every physics constant has a test.
 
-Each mutation below disables one check site in a temporary copy of the
-tree (``src/``, ``tests/`` and ``pyproject.toml``) and runs
+Each mutation below changes one site in a temporary copy of the tree
+(``src/``, ``tests/`` and ``pyproject.toml``) and runs
 ``pytest -x -q tests`` there.  A mutant must make the tests fail; one that
-passes means no test protects that check.  The script exits 1 when a
-pattern does not occur exactly once in its file, so the list cannot rot
-as the code changes, when the unmutated copy fails its tests, or when a
-mutant survives.
+passes means no test protects that site.  Two kinds of site are listed:
+
+* numerical guards, each disabled: a density-matrix, step-halving,
+  steady-state, correlator, fit or CSV check;
+* physics mutants, each a 1-4% error in one model constant (dephasing,
+  radiative rate, drive coupling, lambda pump coupling).  The engine's
+  guards and the 2-5% anchors let them through; the exact closed-form rows
+  of ``reproduce-all`` (``test_cookbook_passes_all_anchors``) catch each.
+
+The script exits 1 when a pattern does not occur exactly once in its file,
+so the list cannot rot as the code changes, when the unmutated copy fails
+its tests, or when a mutant survives.
 
 Usage, from the repository root (a few minutes)::
 
@@ -82,6 +90,18 @@ MUTATIONS = [
      '    if set(map(str.count, body, repeat(","))) == {width - 1}:\n', "    if True:\n"),
     ("CSV body finiteness", "src/emitterlab/csvio.py",
      "            if np.all(np.isfinite(data)):\n", "            if True:\n"),
+    # physics mutants: a small error in one model constant
+    ("M1: pure dephasing x1.02", "src/emitterlab/tls.py",
+     "        jumps.append(math.sqrt(2.0 * params.gamma_phi) * PROJ_EXCITED)\n",
+     "        jumps.append(math.sqrt(2.0 * 1.02 * params.gamma_phi) * PROJ_EXCITED)\n"),
+    ("M2: radiative rate x1.01", "src/emitterlab/tls.py",
+     "    jumps = [math.sqrt(1.0 / params.t1) * SIGMA_MINUS]\n",
+     "    jumps = [math.sqrt(1.01 / params.t1) * SIGMA_MINUS]\n"),
+    ("M3: drive coupling x1.01", "src/emitterlab/tls.py",
+     "    return 0.5 * omega * (np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)\n",
+     "    return 1.01 * 0.5 * omega * (np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)\n"),
+    ("M4: lambda pump coupling x1.04", "src/emitterlab/lambda_system.py",
+     "    o_c = TWO_PI * drive.omega_c_ghz\n", "    o_c = 1.04 * TWO_PI * drive.omega_c_ghz\n"),
 ]
 
 
