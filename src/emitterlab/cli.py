@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, csvio, fitkit, lambda_system, peaks, svgplot, tls
 from .errors import ConfigError, ModelError, NumericFailure
-from .experiments import EXPERIMENTS, SAT_RABI_GHZ, Result, validate_config
+from .experiments import EXPERIMENTS, Result, validate_config
 from .qdyn import TimeGrid, TimeTrace
 
 OUT_ENV_VAR = "EMITTERLAB_OUT"
@@ -366,7 +366,7 @@ CHECKS = [
     ("cw Rabi traces = rho_ee(ss) P(t) while the pulse is on (max error)", _RABI_STEPS,
      _cw_trace_error, 0.0, 1e-6),
     ("saturated lineshape = closed-form rho_ee(Delta) (max error)", ("linewidth_saturation",),
-     lambda d: np.max(np.abs(d["pops"] - tls.steady_population(_EMITTER, SAT_RABI_GHZ,
+     lambda d: np.max(np.abs(d["pops"] - tls.steady_population(d["params"], d["rabi_ghz"],
                                                                d["detunings"]))),
      0.0, 1e-9),
 ]

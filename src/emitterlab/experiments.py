@@ -29,7 +29,7 @@ from . import csvio, fitkit, lambda_system, photostats, qdyn, ramsey, synth, tls
 from .errors import ConfigError, ModelError
 from .qdyn import TimeGrid, TimeTrace
 
-SAT_RABI_GHZ = 1.0 / (2.0 * math.pi * math.sqrt(1.85 * 1.62))
+_SAT_RABI_GHZ = 1.0 / (2.0 * math.pi * math.sqrt(1.85 * 1.62))
 
 
 @dataclass(frozen=True)
@@ -374,18 +374,20 @@ def _mollow_spectrum(cfg):
 @_register(
     "lineshape",
     **_tls_keys(),
-    rabi_ghz=Key(float, SAT_RABI_GHZ, minimum=0.0),
+    rabi_ghz=Key(float, _SAT_RABI_GHZ, minimum=0.0),
     span_ghz=Key(float, 1.2),
     n_points=Key(int, 161, minimum=5),
 )
 def _lineshape(cfg):
+    params = _params(cfg)
     detunings = np.linspace(-cfg["span_ghz"] / 2, cfg["span_ghz"] / 2, cfg["n_points"])
-    pops = tls.excitation_lineshape(_params(cfg), cfg["rabi_ghz"], detunings)
+    pops = tls.excitation_lineshape(params, cfg["rabi_ghz"], detunings)
     fit = fitkit.fit_lorentzian_fwhm(detunings, pops)
     fwhm = _fitted(fit, f"FWHM={fit['fwhm'] * 1e3:.1f} MHz")
     return Result(
         f"lineshape: {fwhm} (Omega/2pi={cfg['rabi_ghz']:.4g} GHz)",
-        {"fit": fit, "detunings": detunings, "pops": pops},
+        {"fit": fit, "detunings": detunings, "pops": pops, "params": params,
+         "rabi_ghz": cfg["rabi_ghz"]},
         fit=("lineshape_fit.csv", fit),
         **_curve("lineshape", "detuning_ghz", "population", detunings, pops,
                  "excitation lineshape", "detuning (GHz)"),

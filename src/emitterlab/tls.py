@@ -152,11 +152,14 @@ def decay_jumps(params: TlsParams) -> list:
     return jumps
 
 
-def drive_coupling(omega, phase=0.0) -> np.ndarray:
+def drive_coupling(omega, phase=None) -> np.ndarray:
     """(Omega/2)(cos(phase) sigma_x + sin(phase) sigma_y) for the angular Rabi
-    frequency ``omega`` (rad/ns): sigma_x at phase 0.  Array arguments give a
-    stack of couplings."""
-    return 0.5 * omega * (np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)
+    frequency ``omega`` (rad/ns); without a phase, (Omega/2) sigma_x alone.
+    Array arguments give a stack of couplings."""
+    half = 0.5 * omega
+    if phase is None:
+        return half * SIGMA_X
+    return half * (np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)
 
 
 def drive_hamiltonian(drive: Drive) -> np.ndarray:

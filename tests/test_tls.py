@@ -233,14 +233,6 @@ class TestLineshape:
             widths.append(fitkit.fit_lorentzian_fwhm(x, pops)["fwhm"])
         assert widths[0] <= widths[1] <= widths[2]
 
-    @pytest.mark.parametrize("t2", [0.4, 1.62, 3.7])
-    def test_matches_closed_form(self, t2):
-        params = tls.TlsParams(1.85, t2)
-        x = np.linspace(-10.0, 10.0, 81)
-        for omega in (0.03, 0.3, 1.5):
-            pops = tls.excitation_lineshape(params, omega, x)
-            assert np.max(np.abs(pops - tls.steady_population(params, omega, x))) < 1e-9
-
     def test_narrow_range_rejected(self, emitter_params):
         with pytest.raises(ModelError, match="half maximum"):
             tls.excitation_lineshape(emitter_params, 0.5, np.linspace(-0.05, 0.05, 11))

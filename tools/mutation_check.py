@@ -98,8 +98,7 @@ MUTATIONS = [
      "    jumps = [math.sqrt(1.0 / params.t1) * SIGMA_MINUS]\n",
      "    jumps = [math.sqrt(1.01 / params.t1) * SIGMA_MINUS]\n"),
     ("M3: drive coupling x1.01", "src/emitterlab/tls.py",
-     "    return 0.5 * omega * (np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)\n",
-     "    return 1.01 * 0.5 * omega * (np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y)\n"),
+     "    half = 0.5 * omega\n", "    half = 1.01 * 0.5 * omega\n"),
     ("M4: lambda pump coupling x1.04", "src/emitterlab/lambda_system.py",
      "    o_c = TWO_PI * drive.omega_c_ghz\n", "    o_c = 1.04 * TWO_PI * drive.omega_c_ghz\n"),
 ]
