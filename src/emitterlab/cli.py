@@ -305,7 +305,7 @@ STEPS = {
 # whose steps did not all run is skipped.
 CHECKS = [
     ("damped-Rabi closed form vs Lindblad g2 (RMS)", (), lambda: tls.closed_form_g2_rms(),
-     0.0, 1e-6),
+     0.0, 1e-11),
     ("transform-limited linewidth 86 MHz", ("linewidth_transform_limit",),
      lambda d: d["fit"]["fwhm"] * 1e3, 86.0, 0.03 * 86.0),
     ("lifetime 1.85 ns", ("lifetime",), lambda d: d["fit"]["tau_ns"], 1.85, 0.01 * 1.85),
@@ -359,12 +359,13 @@ CHECKS = [
      2.0, 0.04),
     ("Mollow center:sideband height 3:1", ("mollow_spectrum",), lambda d: d["ratio"],
      3.0, 0.3),
-    # engine paths against exact closed forms, near the engine's own tolerances:
-    # 1e-6 for propagated traces (step halving at 1e-8), 1e-9 for steady states
+    # engine paths against exact closed forms, near the engine's own accuracy:
+    # 1e-11 for traces under constant drive (exact piece maps), 1e-9 for
+    # steady states
     ("lambda system with gamma_d = Omega_D = 0 is the TLS (max error)", (),
      _lambda_as_tls, 0.0, 1e-9),
     ("cw Rabi traces = rho_ee(ss) P(t) while the pulse is on (max error)", _RABI_STEPS,
-     _cw_trace_error, 0.0, 1e-6),
+     _cw_trace_error, 0.0, 1e-11),
     ("saturated lineshape = closed-form rho_ee(Delta) (max error)", ("linewidth_saturation",),
      lambda d: np.max(np.abs(d["pops"] - tls.steady_population(d["params"], d["rabi_ghz"],
                                                                d["detunings"]))),

@@ -6,27 +6,30 @@ Density matrices and generators are plain complex numpy arrays; a
 generator is the superoperator matrix acting on row-major ``vec(rho)``,
 (d^2, d^2), or a (..., d^2, d^2) stack of them.
 
-Time evolution is classical fixed-step 4th-order Runge-Kutta.  The RK4
-update is linear in the state, so every internal step is a fixed map on
-``vec(rho)``.  One kernel advances a block of vectors through a schedule:
-the time span is split at the samples and at drive-segment edges, and
-consecutive equal pieces form runs.  A constant-drive run is one map,
-built once and applied to its samples by doubling (O(log n) matrix
-products); a shaped-pulse run builds its one-step maps stacked, in
-fixed-size blocks, and applies them in order.  The engine alone picks the
-internal step: the period of the fastest generator / ``_STEPS_PER_PERIOD``.
-Every evolution is verified by re-running at half the internal step; the
-step is refined until consecutive results agree below
-``STEP_HALVING_TOL``.  :func:`propagator` returns such a verified map
-itself, so pulse sequences can be composed.
+One kernel advances a block of vectors through a schedule: the time span
+is split at the samples and at drive-segment edges, and consecutive equal
+pieces form runs.  A constant-drive run is one exact map exp(h L), a
+[13/13] Padé approximant with scaling and squaring, applied to its
+samples by doubling (O(log n) matrix products).  A schedule of constant
+pieces only, as under square pulses or no drive, is propagated once.  A
+shaped-pulse run (gaussian pulses, ramped square edges) takes classical
+fixed-step 4th-order Runge-Kutta steps; the RK4 update is linear in the
+state, so each step is a fixed map on ``vec(rho)``, built stacked in
+fixed-size blocks and applied in order.  The engine alone picks that
+step: the period of the fastest generator / ``_STEPS_PER_PERIOD``.  A
+schedule with a shaped piece is verified by re-running at half the step;
+the step is refined until consecutive results agree below
+``STEP_HALVING_TOL``.  :func:`propagator` returns such a map itself, so
+pulse sequences can be composed.
 
-A scan is one verified propagation: generators and drive couplings (drive
+A scan is one propagation: generators and drive couplings (drive
 strength included; segments carry the unit envelope) may be broadcasting
-stacks whose members share the initial state, the schedule and one step,
-that of the fastest undriven or fully driven member, and step halving
-refines on the maximum over the batch.  A member's shaped-pulse maps are
-chained alike in any batch, so it equals its lone run bitwise whenever
-both take the same step and refinement count.
+stacks whose members share the initial state, the schedule and one RK4
+step, that of the fastest undriven or fully driven member, and step
+halving refines on the maximum over the batch.  Each member's exact maps
+are scaled and squared alone, and its shaped-pulse maps are chained alike
+in any batch, so it equals its lone run bitwise whenever both take the
+same step and refinement count.
 :func:`evolve` and :func:`evolve_driven` share one body: check the initial
 state, run the verified propagation, check every sample of every member.
 :func:`check_density_matrix` is the one validity check, for a matrix or a
@@ -214,11 +217,45 @@ def _rk4_step(eigs: np.ndarray) -> float:
     return 2.0 * math.pi / rate / _STEPS_PER_PERIOD if rate != 0.0 else math.inf
 
 
-def _rk4_propagator(matrix: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 maps of v' = M v for a (..., D, D) stack of generators."""
-    a = h * matrix
-    eye = np.eye(matrix.shape[-1], dtype=complex)
-    return eye + a + (a @ a) / 2.0 + (a @ a @ a) / 6.0 + (a @ a @ a @ a) / 24.0
+# [13/13] Padé coefficients, and the 1-norm up to which that approximant
+# needs no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# Each squaring doubles the rounding error of the map; past this many it
+# would exceed STEP_HALVING_TOL (the trace of an exact map then drifts by
+# about 2.5e-17 times the 1-norm of its generator).
+_MAX_SQUARINGS = int(math.log2(STEP_HALVING_TOL / np.finfo(float).eps))
+
+
+def _expm(m: np.ndarray, h: float) -> np.ndarray:
+    """exp(h m) for each matrix of an (N, D, D) stack: [13/13] Padé
+    approximant with scaling and squaring.  Each member is scaled by its own
+    power of two and squared back alone, so its bits do not depend on the
+    rest of the stack."""
+    with np.errstate(over="ignore"):  # an overflow is caught as an inf norm
+        norm = h * np.max(np.sum(np.abs(m), axis=-2), axis=-1, initial=0.0)
+    if not np.all(norm <= _THETA13 * 2.0**_MAX_SQUARINGS):
+        raise NumericFailure(
+            f"piece map exp(h L) with |h L|_1 = {np.max(norm):.3g} (h = {h:.3g} ns) "
+            f"needs more than {_MAX_SQUARINGS} squarings"
+        )
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = m * (h * np.exp2(-s))[:, None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(np.max(s, initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
 
 
 # -- propagation kernel -----------------------------------------------------
@@ -227,8 +264,8 @@ def _rk4_propagator(matrix: np.ndarray, h: float) -> np.ndarray:
 # the envelope is a float for constant drive or a callable t -> envelope for
 # shaped pulses, which must accept a numpy array of times.  Its modulus is at
 # most 1, the envelope the step is chosen at.  Gaps between segments mean
-# envelope 0.  Segment edges never fall inside an integration sub-step, so
-# discontinuous (square) envelopes keep full RK4 accuracy.
+# envelope 0.  A constant piece is one exact map; segment edges never fall
+# inside a shaped piece's RK4 step.
 Segment = tuple[float, float, "float | Callable[[np.ndarray], np.ndarray]"]
 
 # Shaped runs build at most this many one-step RK4 maps at a time, over batch
@@ -243,7 +280,7 @@ class _Run:
     amp: object  # envelope: a float, or the segment's callable
     starts: np.ndarray  # start time of each piece (ns)
     length: float  # piece length (ns)
-    n_steps: int  # RK4 steps per piece before step refinement
+    n_steps: int  # shaped runs: RK4 steps per piece before step refinement
     sampled: bool  # every piece ends on a sample
 
 
@@ -252,7 +289,8 @@ def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> lis
 
     A piece takes the amplitude of the first segment holding its midpoint.
     A piece between two consecutive samples has length ``grid.dt`` exactly,
-    so the rounding of the split points does not break runs.
+    so the rounding of the split points does not break runs.  A shaped
+    piece takes ``ceil(length / dt_int)`` RK4 steps, a constant one 1.
     """
     samples = grid.times()
     small = np.abs(samples) < 1e290  # rounding scales by 1e15: keep that finite
@@ -273,14 +311,6 @@ def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> lis
     sampled[hit] = True
     from_sample = np.concatenate([[True], sampled[:-1]])
     length = np.where(from_sample & sampled, grid.dt, tb - ta)
-    n_steps = np.maximum(1, np.ceil(length / dt_int))
-    # the finest refinement multiplies every step count by 2**_MAX_STEP_REFINEMENTS
-    if not np.all(n_steps < 2.0 ** (63 - _MAX_STEP_REFINEMENTS)):
-        raise NumericFailure(
-            f"internal step count {np.max(n_steps):.3g} per piece overflows step "
-            f"refinement (dt_int={dt_int:.3g} ns)"
-        )
-    n_steps = n_steps.astype(int)
     # segment index per piece; len(segments) stands for the undriven gap
     mid = 0.5 * (ta + tb)
     seg = np.full(ta.size, len(segments))
@@ -290,6 +320,15 @@ def _schedule(grid: TimeGrid, segments: Sequence[Segment], dt_int: float) -> lis
     amps = [a for _, _, a in segments] + [0.0]
     shaped = np.array([callable(a) for a in amps])[seg]
     value = np.array([math.nan if callable(a) else a for a in amps], dtype=float)[seg]
+    n_steps = np.ones(ta.size)
+    n_steps[shaped] = np.maximum(1, np.ceil(length[shaped] / dt_int))
+    # the finest refinement multiplies every step count by 2**_MAX_STEP_REFINEMENTS
+    if not np.all(n_steps < 2.0 ** (63 - _MAX_STEP_REFINEMENTS)):
+        raise NumericFailure(
+            f"internal step count {np.max(n_steps):.3g} per piece overflows step "
+            f"refinement (dt_int={dt_int:.3g} ns)"
+        )
+    n_steps = n_steps.astype(int)
     same = (
         np.where(shaped[1:] | shaped[:-1], seg[1:] == seg[:-1], value[1:] == value[:-1])
         & (length[1:] == length[:-1])
@@ -387,31 +426,29 @@ def _propagate(m0, c, runs: list, block: np.ndarray, n_points: int, scale: int) 
     """Sampled states of v' = (m0 + a(t) c) v for one (D, k) block of vectors,
     under each of the N members of the (N, D, D) stacks ``m0`` and ``c``.
 
-    Every piece gets ``scale`` times its base step count.  A constant run
-    is one map applied by doubling; a shaped run applies its stacked piece
-    maps in order.  Returns shape (n_points, N, D, k).
+    A constant run is its exact map exp(length (m0 + a c)), applied to its
+    samples by doubling; a shaped run applies its stacked piece maps in
+    order, at ``scale`` times its base RK4 step count.  Returns shape
+    (n_points, N, D, k).
     """
     out = np.empty((n_points, m0.shape[0], *block.shape), dtype=complex)
     out[0] = v = np.broadcast_to(block, out.shape[1:])
     i = 1
     for run in runs:
         n = run.starts.size
-        n_steps = run.n_steps * scale
-        h = run.length / n_steps
         if callable(run.amp):
-            for q in _shaped_maps(m0, c, run.amp, run.starts, h, n_steps):
+            n_steps = run.n_steps * scale
+            for q in _shaped_maps(m0, c, run.amp, run.starts, run.length / n_steps, n_steps):
                 v = q @ v
                 if run.sampled:
                     out[i] = v
                     i += 1
-            continue
-        q = np.linalg.matrix_power(_rk4_propagator(m0 + run.amp * c, h), n_steps)
-        if run.sampled:
-            out[i:i + n] = _orbit(q, v, n)
+        elif run.sampled:
+            out[i:i + n] = _orbit(_expm(m0 + run.amp * c, run.length), v, n)
             v = out[i + n - 1]
             i += n
         else:
-            v = np.linalg.matrix_power(q, n) @ v
+            v = _expm(m0 + run.amp * c, n * run.length) @ v
     return out
 
 
@@ -420,28 +457,32 @@ def _max_abs(diff: np.ndarray) -> float:
 
 
 def _verified_propagation(m0, c, segments, block, grid: TimeGrid, error=_max_abs) -> np.ndarray:
-    """:func:`_propagate` refined by step halving until ``error(cur - prev)``,
-    taken over the whole batch, falls below ``STEP_HALVING_TOL``.
+    """:func:`_propagate` checked finite and, when a segment is shaped,
+    refined by step halving until ``error(cur - prev)``, taken over the
+    whole batch, falls below ``STEP_HALVING_TOL``.
 
     ``m0`` and ``c`` broadcast as (..., D, D) stacks (``c`` is 0.0 when
-    undriven).  The base step is the :func:`_rk4_step` of the batch's
-    undriven ``m0`` and, under a drive, its fully driven ``m0 + c``; segment
-    envelopes are at most 1 in modulus.  Returns shape (*batch, n_points, D, k).
+    undriven).  The base RK4 step of shaped runs is the :func:`_rk4_step`
+    of the batch's undriven ``m0`` and fully driven ``m0 + c``; segment
+    envelopes are at most 1 in modulus.  A schedule of constant pieces
+    only is exact and propagated once.  Returns shape
+    (*batch, n_points, D, k).
     """
     batch = np.broadcast_shapes(np.shape(m0)[:-2], np.shape(c)[:-2])
     size = np.shape(m0)[-1]
     m0, c = (np.broadcast_to(x, (*batch, size, size)).reshape(-1, size, size)
              for x in (m0, c))
-    dt_int = _rk4_step(np.linalg.eigvals(np.concatenate([m0, m0 + c]) if segments else m0))
+    shaped = any(callable(a) for _, _, a in segments)
+    dt_int = _rk4_step(np.linalg.eigvals(np.concatenate([m0, m0 + c]))) if shaped else math.inf
     if not dt_int > 0:
         raise NumericFailure(f"internal step underflow: dt_int={dt_int}")
     runs = _schedule(grid, segments, dt_int)
-    prev = _propagate(m0, c, runs, block, grid.n_points, 1)
-    for refinement in range(1, _MAX_STEP_REFINEMENTS + 1):
+    prev = None
+    for refinement in range(_MAX_STEP_REFINEMENTS + 1 if shaped else 1):
         cur = _propagate(m0, c, runs, block, grid.n_points, 2**refinement)
         if not np.all(np.isfinite(cur)):
             raise NumericFailure("non-finite values during evolution")
-        if error(cur - prev) < STEP_HALVING_TOL:
+        if not shaped or refinement and error(cur - prev) < STEP_HALVING_TOL:
             return np.moveaxis(cur, 0, 1).reshape(*batch, grid.n_points, *block.shape)
         prev = cur
     raise NumericFailure(
@@ -466,11 +507,10 @@ def _evolve(m0, c, segments, rho0, grid: TimeGrid) -> np.ndarray:
 def evolve(l: np.ndarray, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Evolve ``rho0`` under the generator, or stack of generators, ``l``.
 
-    Returns the samples on ``grid``, shape (..., n_points, d, d).  Trace,
-    Hermiticity and positivity are checked at every sample and raise
+    Returns the samples on ``grid``, shape (..., n_points, d, d), each the
+    exact map exp(dt l) applied to the one before.  Trace, Hermiticity and
+    positivity are checked at every sample and raise
     :class:`NumericFailure` if violated; they are never silently fixed.
-    The internal RK4 step is the period of the fastest generator / 200,
-    halved until samples agree below ``STEP_HALVING_TOL``.
     """
     return _evolve(l, 0.0, [], rho0, grid)
 
@@ -490,10 +530,11 @@ def evolve_driven(
     The undriven generator ``l0`` and the Hermitian ``coupling`` (drive
     strength included) may be broadcasting stacks; the batch members share
     ``rho0`` and the (t0, t1, envelope) ``segments`` of a(t): a constant
-    float or a callable, at most 1 in modulus, 0 outside.  They also share
-    the internal RK4 step, the period of the fastest undriven or fully
-    driven generator in the batch / 200.  Returns (*batch, n_points, d, d)
-    samples checked as in :func:`evolve`.
+    float or a callable, at most 1 in modulus, 0 outside.  Constant
+    pieces are exact maps.  Shaped pieces take RK4 steps of the period of
+    the fastest undriven or fully driven generator in the batch / 200,
+    halved until the samples agree below ``STEP_HALVING_TOL``.  Returns
+    (*batch, n_points, d, d) samples checked as in :func:`evolve`.
     """
     c = hamiltonian_superop(_hermitian(coupling, "coupling", math.isqrt(l0.shape[-1])))
     return _evolve(l0, c, segments, rho0, grid)
@@ -509,12 +550,12 @@ def propagator(
     segments: Sequence[Segment],
     t_end: float,
 ) -> np.ndarray:
-    """Verified d^2 x d^2 maps of the driven evolution over [0, t_end].
+    """d^2 x d^2 maps of the driven evolution over [0, t_end].
 
     ``vec(rho(t_end)) = M @ vec(rho(0))`` for the row-major ``vec`` of the
-    generator, with the drive, batch and internal step of
-    :func:`evolve_driven`; returns shape (*batch, d^2, d^2).  The identity
-    is propagated and refined by step halving until the induced infinity
+    generator, with the drive, batch and pieces of :func:`evolve_driven`;
+    returns shape (*batch, d^2, d^2).  The identity is propagated; under a
+    shaped pulse it is refined by step halving until the induced infinity
     norm ``max_i sum_j |dM_ij|`` of the change, the worst over the batch,
     falls below ``STEP_HALVING_TOL``, which bounds the change of every entry of
     ``M @ v`` for any ``v`` with entries of modulus <= 1.
@@ -555,9 +596,9 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = np.full(a.shape, np.nan, dtype=complex)
     vecs = inv[..., 0].copy()
-    residual = np.linalg.norm((m @ vecs[..., None])[..., 0], axis=1)
-    scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: not certified
+        residual = np.linalg.norm((m @ vecs[..., None])[..., 0], axis=1)
+        scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1.0)
         # the bound at twice the cut absorbs its own rounding
         certified = (np.linalg.norm(inv, axis=(1, 2)) * scale < 0.5 / STATIONARY_NULL_TOL) & (
             residual * math.sqrt(d) < STATIONARY_NULL_TOL)
@@ -596,7 +637,7 @@ def regression_correlator(
 
     Quantum-regression evolution of the (generally non-Hermitian) operator
     ``b_left @ rho_ss @ b_right`` under the same generator, evaluated on
-    ``grid`` with the internal step of :func:`evolve`.  Returns a complex
+    ``grid`` with the exact maps of :func:`evolve`.  Returns a complex
     array.
     """
     d = math.isqrt(l.shape[-1])

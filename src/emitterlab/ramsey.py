@@ -36,10 +36,10 @@ def population_table(
     Each pulse has exactly pi/2 area: its peak amplitude is derived from
     the envelope.
 
-    Two verified propagations: one batched :func:`qdyn.propagator` gives the
-    pulse maps at phase 0 (first pulse) and at every relative phase (second
+    Two propagations: one batched :func:`qdyn.propagator` gives the pulse
+    maps at phase 0 (first pulse) and at every relative phase (second
     pulse), and one :func:`qdyn.evolve` of the stack ``tau * L0`` over unit
-    time gives every delay.  The state after the first pulse, and the
+    time gives every delay through its exact map exp(tau L0).  The state after the first pulse, and the
     composed final states, pass :func:`qdyn.check_density_matrix`.
     """
     taus = np.asarray(taus, dtype=float)

@@ -88,7 +88,8 @@ def line_plot(path, x, y, title="", xlabel="x", ylabel="y", comment="") -> None:
     pad = 0.05 * (yhi - ylo)
     parts, sx, sy = _axes(float(x[0]), float(x[-1]), ylo - pad, yhi + pad,
                           title, xlabel, ylabel)
-    pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y))
+    xy = np.column_stack([sx(x), sy(y)]).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
     )

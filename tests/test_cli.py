@@ -1,5 +1,6 @@
 import base64
 import math
+import re
 import struct
 import xml.etree.ElementTree as ET
 import zlib
@@ -601,17 +602,41 @@ class TestErrorPaths:
     @pytest.mark.parametrize("experiment,key,value", [
         ("pulsed_rabi", "p_max_nw", 1e308),
         ("rabi_trace", "rabi_ghz", 1e200),
+    ])
+    def test_step_count_overflow_exits_3(self, tmp_path, capsys, experiment, key, value):
+        # only shaped pulses (gaussian, ramped square edges) take RK4 steps
+        shaped = {"pulsed_rabi": {"pulse_shape": "gaussian"}, "rabi_trace": {"rise_ns": 0.01}}
+        assert cli.run(experiment=experiment, outdir=tmp_path / "out",
+                       overrides={key: value, **shaped[experiment]}) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericFailure: internal step count")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("pulsed_rabi", "p_max_nw", 1e308),
+        ("rabi_trace", "rabi_ghz", 1e200),
         # spans whose sample times overflowed when rounded to 15 decimals
         ("lifetime", "t_max_ns", 1e300),
         ("g2", "tau_max_ns", 1e300),
         ("ramsey", "tau_max_ns", 1e300),
     ])
-    def test_step_count_overflow_exits_3(self, tmp_path, capsys, experiment, key, value):
+    def test_overlong_constant_piece_exits_3(self, tmp_path, capsys, experiment, key, value):
         assert cli.run(experiment=experiment, outdir=tmp_path / "out",
                        overrides={key: value}) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: NumericFailure: internal step count")
+        assert err.startswith("error: NumericFailure: piece map exp(h L) with |h L|_1 = ")
+        assert err.endswith(" needs more than 25 squarings\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment", ["rabi_trace", "detuning_map", "g2", "ramsey"])
+    @pytest.mark.parametrize("key", ["t1_ns", "t2_ns"])
+    @pytest.mark.parametrize("value", [1e-300, 1e-12, 1e12, 1e300])
+    def test_extreme_rates_exit_cleanly(self, tmp_path, capsys, experiment, key, value):
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\n{key} = {value}\n")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize("key", ["scale", "background_rate"])
     def test_synth_count_overflow_exits_3(self, tmp_path, capsys, key):
@@ -961,6 +986,24 @@ class TestHeatmapRaster:
         assert float(image["y"]) == svgplot._MT
         assert float(image["height"]) == ph
         assert image["preserveAspectRatio"] == "none"
+
+
+class TestLinePlot:
+    @pytest.mark.parametrize("x,y", [
+        # non-uniform x; one point maps to sx = -0.004, which prints as -0.00
+        ([0.0, 0.3, -0.12728, 0.31, 0.9, 1.0], [0.1, -2.0, 3.5, 0.0, 1e-9, 2.0]),
+        (np.linspace(0.0, 15.0, 1501), np.sin(np.linspace(0.0, 15.0, 1501))),
+        ([0.0, 1.0, 2.0], [0.25, 0.25, 0.25]),  # constant series
+        ([0.0, math.nan, 2.0], [1.0, 2.0, 0.5]),  # the axes span x[0] to x[-1]
+    ])
+    def test_points_match_per_point_formula(self, tmp_path, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        svgplot.line_plot(tmp_path / "l.svg", x, y)
+        points = re.search(r'<polyline points="([^"]*)"', (tmp_path / "l.svg").read_text())[1]
+        ylo, yhi = float(np.min(y)), float(np.max(y))
+        pad = 0.05 * (yhi - ylo)
+        _, sx, sy = svgplot._axes(x[0], x[-1], ylo - pad, yhi + pad, "", "x", "y")
+        assert points == " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y))
 
 
 def _reference_format(x) -> str:

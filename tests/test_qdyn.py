@@ -20,12 +20,11 @@ def drive_liouvillian(t1, t2, rabi_ghz):
     return tls.tls_liouvillian(tls.TlsParams(t1, t2), tls.Drive(rabi_ghz))
 
 
-def fixed_step_evolve(l, rho0, grid, dt_int):
-    """The raw fixed-step integrator: one pass of the kernel, no step halving."""
-    runs = qdyn._schedule(grid, [], dt_int)
-    v0 = rho0.reshape(-1, 1).astype(complex)
-    traj = qdyn._propagate(l[None], 0.0, runs, v0, grid.n_points, 1)
-    return traj.reshape(grid.n_points, *rho0.shape)
+def eig_expm(m):
+    """exp of each matrix of a stack through its eigendecomposition: a
+    reference that shares no code with qdyn's Padé exponential."""
+    w, v = np.linalg.eig(m)
+    return (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
 
 
 class TestCheckDensityMatrix:
@@ -147,35 +146,45 @@ class TestEvolve:
         assert np.min(np.linalg.eigvalsh(rhos)) > -1e-9
 
     def test_rk4_convergence_order(self):
-        # global error scales as dt^4 on the undriven analytic case
+        # shaped pieces take fixed RK4 steps: one pass of the kernel, no step
+        # halving, has a global error that scales as dt^4.  A sigma_z drive
+        # commutes with pure decay, so under the ramp a(t) = t on [0, 1] the
+        # exact map is exp(L0 + C/2).
         jump = np.sqrt(1.0 / 0.5) * tls.SIGMA_MINUS
-        l = qdyn.build_liouvillian(np.zeros((2, 2)), [jump])
+        l0 = qdyn.build_liouvillian(np.zeros((2, 2)), [jump])
+        c = qdyn.hamiltonian_superop(3.0 * np.diag([1.0, -1.0]))
         grid = TimeGrid(0.0, 1.0, 2)
+        segments = [(0.0, 1.0, lambda t: t)]
+        v0 = np.full((4, 1), 0.5, dtype=complex)
+        exact = eig_expm(l0 + 0.5 * c) @ v0[:, 0]
         dts = np.array([0.1, 0.05, 0.025, 0.0125, 0.00625])
         errs = []
         for dt in dts:
-            rhos = fixed_step_evolve(l, RHO_E, grid, dt)
-            errs.append(abs(rhos[-1][1, 1].real - np.exp(-1.0 / 0.5)))
+            runs = qdyn._schedule(grid, segments, dt)
+            traj = qdyn._propagate(l0[None], c[None], runs, v0, grid.n_points, 1)
+            errs.append(np.max(np.abs(traj[-1, 0, :, 0] - exact)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 3.5 < slope < 4.5
 
-
     def test_matches_per_sample_loop(self):
-        # constant runs advance by doubling; the per-sample loop is the reference
+        # a constant run is one exact map applied by doubling; the reference
+        # applies the eigendecomposition's exponential sample by sample
         l = drive_liouvillian(1.85, 1.62, 1.304)
         grid = TimeGrid(0.0, 12.0, 1201)
         v = RHO_G.reshape(-1)
-        step = np.linalg.matrix_power(qdyn._rk4_propagator(l, grid.dt / 4), 4)
+        step = eig_expm(grid.dt * l)
         expected = [v]
         for _ in range(grid.n_points - 1):
             v = step @ v
             expected.append(v)
-        rhos = fixed_step_evolve(l, RHO_G, grid, grid.dt / 4)
+        rhos = qdyn.evolve(l, RHO_G, grid)
         assert np.max(np.abs(rhos.reshape(grid.n_points, -1) - expected)) < 1e-12
 
 
 def _reference_evolve_driven(m0, coupling, segments, rho0, grid, dt_int):
-    """Per-step RK4 loop over the split pieces, with step halving."""
+    """Piece by piece: the eigendecomposition's exponential over a constant
+    piece, a per-step RK4 loop over a shaped one, with step halving when a
+    segment is shaped."""
     c = qdyn.hamiltonian_superop(coupling)
     samples = np.round(grid.times(), 15)
     pts = set(samples.tolist())
@@ -197,27 +206,30 @@ def _reference_evolve_driven(m0, coupling, segments, rho0, grid, dt_int):
         out = [v]
         for ta, tb in zip(pts[:-1], pts[1:]):
             amp = amplitude(ta, tb)
-            if not callable(amp):
-                amp = (lambda t, a=amp: a)
-            n_steps = max(1, math.ceil((tb - ta) / dt_int)) * scale
-            h = (tb - ta) / n_steps
-            t = ta
-            for _ in range(n_steps):
-                m_a = m0 + amp(t) * c
-                m_b = m0 + amp(t + 0.5 * h) * c
-                m_c = m0 + amp(t + h) * c
-                k1 = m_a @ v
-                k2 = m_b @ (v + 0.5 * h * k1)
-                k3 = m_b @ (v + 0.5 * h * k2)
-                k4 = m_c @ (v + h * k3)
-                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
+            if callable(amp):
+                n_steps = max(1, math.ceil((tb - ta) / dt_int)) * scale
+                h = (tb - ta) / n_steps
+                t = ta
+                for _ in range(n_steps):
+                    m_a = m0 + amp(t) * c
+                    m_b = m0 + amp(t + 0.5 * h) * c
+                    m_c = m0 + amp(t + h) * c
+                    k1 = m_a @ v
+                    k2 = m_b @ (v + 0.5 * h * k1)
+                    k3 = m_b @ (v + 0.5 * h * k2)
+                    k4 = m_c @ (v + h * k3)
+                    v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    t += h
+            else:
+                v = eig_expm((tb - ta) * (m0 + amp * c)) @ v
             if len(out) < grid.n_points and abs(tb - samples[len(out)]) <= 1e-12:
                 out.append(v)
         assert len(out) == grid.n_points
         return np.array(out)
 
     prev = run(1)
+    if not any(callable(a) for _, _, a in segments):
+        return prev.reshape(grid.n_points, *rho0.shape)
     for refinement in range(1, qdyn._MAX_STEP_REFINEMENTS + 1):
         cur = run(2**refinement)
         if np.max(np.abs(cur - prev)) < qdyn.STEP_HALVING_TOL:
@@ -259,6 +271,23 @@ class TestDrivenKernel:
         coupling = 0.5 * omega * tls.SIGMA_X
         expected = _reference_evolve_driven(l0, coupling, segments, RHO_G, GRID_20, dt_int)
         rhos = qdyn.evolve_driven(l0, coupling, segments, RHO_G, GRID_20)
+        assert np.max(np.abs(rhos - expected)) < 1e-12
+
+    def test_pulse_refined_twice_matches_per_step_loop(self):
+        # the 4.2 pi gaussian pulse of the default pulsed_rabi scan: the first
+        # halving still moves its samples by more than STEP_HALVING_TOL, so
+        # both the engine and the reference take a second one
+        params = tls.TlsParams(1.85, 1.62)
+        pulse = tls.PulseEnvelope("gaussian", 0.2, 12.5)
+        p_top = (4.2 * np.pi / pulse.area_factor())**2 * 1.85 * 1.62 * 20.0
+        coupling = tls.drive_coupling(tls.TWO_PI * tls.power_to_rabi(tls.PowerCalib(20.0),
+                                                                      params, p_top))
+        l0 = qdyn.build_liouvillian(np.zeros((2, 2)), tls.decay_jumps(params))
+        segments = tls.envelope_segments(pulse, pulse.on_end())
+        grid = TimeGrid(0.0, pulse.on_end(), 9)
+        expected = _reference_evolve_driven(l0, coupling, segments, RHO_G, grid,
+                                            _qdyn_step(l0, coupling))
+        rhos = qdyn.evolve_driven(l0, coupling, segments, RHO_G, grid)
         assert np.max(np.abs(rhos - expected)) < 1e-12
 
     @pytest.mark.parametrize("shape", sorted(PULSES))
@@ -531,11 +560,55 @@ class TestRegressionCorrelator:
 
 
 class TestNumericGuards:
-    def test_step_underflow_rejected(self, monkeypatch, decay_liouvillian):
+    def test_step_underflow_rejected(self, monkeypatch):
+        # only shaped pulses take RK4 steps
+        l0, segments, _, omega = _driven_case("gaussian")
         for step in (0.0, math.nan):
             monkeypatch.setattr(qdyn, "_rk4_step", lambda eigs: step)
             with pytest.raises(NumericFailure, match=rf"^internal step underflow: dt_int={step}$"):
-                qdyn.evolve(decay_liouvillian, RHO_E, TimeGrid(0.0, 1.0, 2))
+                qdyn.evolve_driven(l0, 0.5 * omega * tls.SIGMA_X, segments, RHO_G, GRID_20)
+
+    @pytest.mark.parametrize("h", [1e300, math.inf, math.nan, 1e9])
+    def test_overlong_piece_map_rejected(self, h, decay_liouvillian):
+        # |h L|_1 beyond 2**25 theta_13 (1.8e8): the squarings would amplify
+        # rounding past the step-halving tolerance
+        with pytest.raises(NumericFailure, match=r"^piece map exp\(h L\) with \|h L\|_1 = "
+                                                 r"\S+ \(h = \S+ ns\) needs more than 25 "
+                                                 r"squarings$"):
+            qdyn._expm(decay_liouvillian[None], h)
+
+    def test_non_finite_generator_rejected(self, decay_liouvillian):
+        for bad in (math.inf, math.nan):
+            l = decay_liouvillian.copy()
+            l[0, 0] = bad
+            with pytest.raises(NumericFailure, match=r"^piece map exp\(h L\) "):
+                qdyn.evolve(l, RHO_E, TimeGrid(0.0, 1.0, 2))
+
+    def test_constant_drive_takes_no_step(self, monkeypatch):
+        # no eigenvalues for a step, no RK4 step and one propagation pass
+        def no_step(eigs):
+            raise AssertionError("constant drive took an RK4 step")
+
+        passes, propagate = [], qdyn._propagate
+
+        def counted(*args):
+            passes.append(args[-1])
+            return propagate(*args)
+
+        l0, segments, _, omega = _driven_case("square")
+        coupling = 0.5 * omega * tls.SIGMA_X
+        l = l0 + qdyn.hamiltonian_superop(coupling)
+        rho_ss = qdyn.steady_state(l)
+        monkeypatch.setattr(qdyn, "_rk4_step", no_step)
+        monkeypatch.setattr(qdyn, "_propagate", counted)
+        eigvals_shapes = _count_eigvals_calls(monkeypatch)
+        qdyn.evolve(l0, RHO_G, GRID_20)
+        qdyn.evolve_driven(l0, coupling, segments, RHO_G, GRID_20)
+        qdyn.propagator(l0, coupling, segments, GRID_20.t_end)
+        qdyn.regression_correlator(l, rho_ss, tls.PROJ_EXCITED, tls.SIGMA_MINUS,
+                                   tls.SIGMA_PLUS, GRID_20)
+        assert passes == [1, 1, 1, 1]
+        assert eigvals_shapes == []
 
     def test_non_finite_propagation_rejected(self, monkeypatch, decay_liouvillian):
         def diverged(m0, c, runs, block, n_points, scale):
@@ -544,6 +617,34 @@ class TestNumericGuards:
         monkeypatch.setattr(qdyn, "_propagate", diverged)
         with pytest.raises(NumericFailure, match="^non-finite values during evolution$"):
             qdyn.evolve(decay_liouvillian, RHO_E, TimeGrid(0.0, 1.0, 2))
+
+
+class TestExpm:
+    def test_matches_eigendecomposition(self):
+        # random TLS generators and a lambda generator, over 1 ps to 10 us
+        rng = np.random.default_rng(3)
+        stack = []
+        for _ in range(20):
+            t1, rabi, det = rng.uniform(0.5, 3.0), rng.uniform(0.0, 3.0), rng.uniform(-2, 2)
+            params = tls.TlsParams(t1, rng.uniform(0.2, 2.0) * t1)
+            stack.append(tls.tls_liouvillian(params, tls.Drive(rabi, det)))
+        stack = np.array(stack)
+        for h in (1e-3, 0.1, 1.0, 30.0):
+            assert np.max(np.abs(qdyn._expm(stack, h) - eig_expm(h * stack))) < 1e-12
+        # 1-norms near 1e5 take 15 squarings, each doubling the rounding error
+        assert np.max(np.abs(qdyn._expm(stack, 1e4) - eig_expm(1e4 * stack))) < 1e-10
+        lam_l = lam.lambda_liouvillian(lam.LambdaParams(0.27, 0.27, 1.0 / 40.0, 0.0, 0.01),
+                                       lam.LambdaDrive(0.8, 0.02, 0.1, -0.3))
+        for h in (1e-3, 1.0, 1e3):
+            assert np.max(np.abs(qdyn._expm(lam_l[None], h)[0] - eig_expm(h * lam_l))) < 1e-12
+
+    def test_member_equals_lone_run_bitwise(self):
+        # members whose 1-norms take different numbers of squarings
+        stack = np.array([drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 1.0, 5.0)])
+        for h in (1e-3, 1.0, 1e5):
+            maps = qdyn._expm(stack, h)
+            for k, m in enumerate(stack):
+                assert np.array_equal(maps[k], qdyn._expm(m[None], h)[0])
 
 
 class TestTimeGrid:

@@ -5,8 +5,8 @@ Each mutation below changes one site in a temporary copy of the tree
 ``pytest -x -q tests`` there.  A mutant must make the tests fail; one that
 passes means no test protects that site.  Two kinds of site are listed:
 
-* numerical guards, each disabled: a density-matrix, step-halving,
-  steady-state, correlator, fit or CSV check;
+* numerical guards, each disabled: a density-matrix, piece-map,
+  step-halving, steady-state, correlator, fit or CSV check;
 * physics mutants, each a 1-4% error in one model constant (dephasing,
   radiative rate, drive coupling, lambda pump coupling).  The engine's
   guards and the 2-5% anchors let them through; the exact closed-form rows
@@ -50,6 +50,8 @@ MUTATIONS = [
      "    if False:\n"),
     ("sample misalignment", QDYN,
      "    if (\n        np.any(hit >= tb.size)\n", "    if False and (\n        np.any(hit >= tb.size)\n"),
+    ("piece-map squaring bound", QDYN,
+     "    if not np.all(norm <= _THETA13 * 2.0**_MAX_SQUARINGS):\n", "    if False:\n"),
     ("step-count overflow", QDYN,
      "    if not np.all(n_steps < 2.0 ** (63 - _MAX_STEP_REFINEMENTS)):\n", "    if False:\n"),
     ("step underflow", QDYN,
@@ -57,7 +59,8 @@ MUTATIONS = [
     ("non-finite values during evolution", QDYN,
      "        if not np.all(np.isfinite(cur)):\n", "        if False:\n"),
     ("step-halving acceptance", QDYN,
-     "        if error(cur - prev) < STEP_HALVING_TOL:\n", "        if True:\n"),
+     "        if not shaped or refinement and error(cur - prev) < STEP_HALVING_TOL:\n",
+     "        if not shaped or refinement:\n"),
     ("steady-state uniqueness", QDYN,
      "    if np.any(n_null != 1):\n", "    if False:\n"),
     ("uniqueness certificate, residual leg", QDYN,
