@@ -39,8 +39,9 @@ def population_table(
     Two propagations: one batched :func:`qdyn.propagator` gives the pulse
     maps at phase 0 (first pulse) and at every relative phase (second
     pulse), and one :func:`qdyn.evolve` of the stack ``tau * L0`` over unit
-    time gives every delay through its exact map exp(tau L0).  The state after the first pulse, and the
-    composed final states, pass :func:`qdyn.check_density_matrix`.
+    time gives every delay through its exact map exp(tau L0).  The state
+    after the first pulse, and the composed final states, pass
+    :func:`qdyn.check_density_matrix`.
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):

@@ -577,13 +577,6 @@ class TestNumericGuards:
                                                  r"squarings$"):
             qdyn._expm(decay_liouvillian[None], h)
 
-    def test_non_finite_generator_rejected(self, decay_liouvillian):
-        for bad in (math.inf, math.nan):
-            l = decay_liouvillian.copy()
-            l[0, 0] = bad
-            with pytest.raises(NumericFailure, match=r"^piece map exp\(h L\) "):
-                qdyn.evolve(l, RHO_E, TimeGrid(0.0, 1.0, 2))
-
     def test_constant_drive_takes_no_step(self, monkeypatch):
         # no eigenvalues for a step, no RK4 step and one propagation pass
         def no_step(eigs):

@@ -188,6 +188,17 @@ class TestRabiTrace:
         expected = tls.generalized_rabi(tls.Drive(1.304, 1.0))
         assert abs(found[0][0] - expected) <= bin_ghz
 
+    def test_detuning_member_equals_lone_run(self, emitter_params):
+        # the default detuning_map scan: each member's exact maps are scaled
+        # and squared alone, so a detuning run alone gives the same bits
+        pulse = tls.PulseEnvelope("square", 20.0, 20.5)
+        grid = TimeGrid(0.0, 20.5, 2049)
+        detunings = np.linspace(-2.0, 2.0, 21)
+        traces = tls.rabi_traces(emitter_params, 1.304, detunings, pulse, grid)
+        for k in (0, 7, 10, 20):
+            lone = tls.rabi_traces(emitter_params, 1.304, [detunings[k]], pulse, grid)[0]
+            assert np.array_equal(traces[k], lone)
+
     def test_grid_must_cover_a_period(self, emitter_params):
         with pytest.raises(ModelError, match="period"):
             tls.rabi_trace_numeric(
