@@ -1,8 +1,9 @@
 """CSV documents with '#'-prefixed metadata, lossless at 17 significant digits.
 
 Layout: metadata lines ``# key=value``, one header row of column names,
-then one row per record.  Matrices are stored long-form as
-(row_value, col_value, cell_value) triples.
+then one row per record; a string cell holding ``,``, ``"`` or a line break
+is quoted (RFC 4180).  Matrices are stored long-form as (row_value,
+col_value, cell_value) triples, kept unexpanded until they are written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,23 +26,46 @@ def format_number(x) -> str:
     return format(float(x), ".17g")
 
 
+class LongForm(NamedTuple):
+    """A matrix and its two axes, written as (row, col, cell) rows by :func:`write_csv`."""
+
+    row_axis: np.ndarray
+    col_axis: np.ndarray
+    matrix: np.ndarray
+
+
+def _quoted(cell: str) -> str:
+    """``cell``, quoted with inner quotes doubled if it holds ``,``, ``"`` or a line break."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_csv(path, header, rows, meta: dict | None = None) -> None:
-    """Write a CSV document; ``rows`` is a 2-D array or an iterable of value tuples.
+    """Write a CSV document; ``rows`` is a 2-D array, value tuples or a :class:`LongForm`.
 
     Each column is formatted by its numpy kind (floats as ``%.17g`` like
     :func:`format_number`), the whole body by one ``%`` on a row template.
+    A long form's axis values are formatted once and baked into the template
+    (a formatted number holds no ``%``), so the ``%`` converts the cells only.
     """
-    if isinstance(rows, np.ndarray):
-        columns = list(rows.T)
+    if isinstance(rows, LongForm):
+        fmt = _FORMATS[np.result_type(*rows).kind]
+        cells = [(fmt % c) + "," + fmt for c in rows.col_axis.tolist()]
+        template = "\n".join(r + "," + ("\n" + r + ",").join(cells)
+                             for r in map(fmt.__mod__, rows.row_axis.tolist()))
+        values = tuple(rows.matrix.ravel().tolist())
     else:
-        columns = [np.asarray(column) for column in zip(*rows)]
+        columns = (list(rows.T) if isinstance(rows, np.ndarray)
+                   else [np.asarray(column) for column in zip(*rows)])
+        n_rows = len(columns[0]) if columns else 0
+        template = "\n".join([",".join(_FORMATS[c.dtype.kind] for c in columns)] * n_rows)
+        values = tuple(chain.from_iterable(zip(*(map(_quoted, c.tolist()) if c.dtype.kind == "U"
+                                                 else c.tolist() for c in columns))))
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(header))
-    n_rows = len(columns[0]) if columns else 0
-    if n_rows:
-        template = ",".join(_FORMATS[column.dtype.kind] for column in columns)
-        values = chain.from_iterable(zip(*(column.tolist() for column in columns)))
-        lines.append("\n".join([template] * n_rows) % tuple(values))
+    if values:
+        lines.append(template % values)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -109,10 +134,9 @@ def _parse_rows(path, lines, width: int) -> np.ndarray:
     return np.array(data, dtype=float)
 
 
-def long_form(row_values, col_values, matrix) -> np.ndarray:
-    """A matrix as (row_value, col_value, cell) rows of one array, row-major order."""
+def long_form(row_values, col_values, matrix) -> LongForm:
+    """A matrix with its axes, unexpanded; written as (row, col, cell) rows, row-major."""
     n, m = len(row_values), len(col_values)
     if np.shape(matrix) != (n, m):
         raise ModelError("matrix shape does not match axis lengths")
-    return np.column_stack([np.repeat(row_values, m), np.tile(col_values, n),
-                            np.ravel(matrix)])
+    return LongForm(np.asarray(row_values), np.asarray(col_values), np.asarray(matrix))

@@ -1,4 +1,5 @@
 import base64
+import csv
 import math
 import re
 import struct
@@ -308,8 +309,6 @@ class TestRun:
 
 
 def _report_values(path):
-    import csv
-
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     assert rows[0] == ["parameter", "value", "stderr"]
@@ -794,11 +793,21 @@ class TestReproduceAll:
         assert "damped-Rabi closed form vs Lindblad g2 (RMS)" in out
         assert "lambda system with gamma_d = Omega_D = 0 is the TLS" in out
         assert (tmp_path / "repro" / "summary.csv").exists()
-        # every document it writes reads back as the row-by-row reader reads it
+        # every document it writes reads back as the row-by-row reader reads it,
+        # and every row parses to the header's width with the csv module
         paths = sorted((tmp_path / "repro").rglob("*.csv"))
         assert len(paths) > 20
         for path in paths:
             _assert_same_read(path)
+            _assert_header_width(path)
+        # summary.csv quotes the labels that hold a comma
+        rows = _assert_header_width(tmp_path / "repro" / "summary.csv")
+        assert rows[0] == ["check", "value", "expected", "tolerance", "status"]
+        assert len(rows) == 1 + len(cli.CHECKS)
+        comma_labels = [r[0] for r in rows[1:] if "," in r[0]]
+        assert [label.split(",")[0] for label in comma_labels] == (
+            ["FFT component at sqrt(Omega^2+Delta^2)"] * 5
+            + ["splitting linear in sqrt(pump power) (R^2=0.999999"])
 
     def _cookbook_head(self, monkeypatch, value):
         """CHECKS cut to the g2 closed-form, transform-limited and lifetime anchors,
@@ -1015,6 +1024,25 @@ def _reference_format(x) -> str:
     return format(float(x), ".17g")
 
 
+def _expanded(rows):
+    """A ``csvio.LongForm`` as the (row, col, cell) array the former ``long_form``
+    built with ``np.column_stack``; any other table as it is."""
+    if not isinstance(rows, csvio.LongForm):
+        return rows
+    n, m = len(rows.row_axis), len(rows.col_axis)
+    return np.column_stack([np.repeat(rows.row_axis, m), np.tile(rows.col_axis, n),
+                            np.ravel(rows.matrix)])
+
+
+def _assert_header_width(path):
+    """Every non-``#`` row of ``path`` parses to the header's width with ``csv``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    assert rows, path
+    assert {len(r) for r in rows} == {len(rows[0])}, path
+    return rows
+
+
 def _reference_csv(header, rows, meta) -> str:
     """The former writer: one formatter call per value."""
     lines = [f"# {key}={value}" for key, value in meta.items()]
@@ -1050,7 +1078,7 @@ class TestCsvWriter:
         meta = {"k": "v", "n": 3} if meta is None else meta
         csvio.write_csv(tmp_path / "t.csv", header, rows, meta)
         written = (tmp_path / "t.csv").read_text(encoding="utf-8")
-        assert written == _reference_csv(header, rows, meta)
+        assert written == _reference_csv(header, _expanded(rows), meta)
 
     def test_floats(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -1087,8 +1115,55 @@ class TestCsvWriter:
                                                    "t_max_ns": "5", "pulse_ns": "4",
                                                    "period_ns": "5"})
         result = cli.EXPERIMENTS["detuning_map"].compute(cfg)
+        assert isinstance(result.tables[0][2], csvio.LongForm)
         for _, header, rows in result.tables:
             self.check(tmp_path, header, rows)
+
+    @pytest.mark.parametrize("shape", [(14, 9), (1, 14), (14, 1), (0, 5), (5, 0), (0, 0)])
+    def test_long_form(self, tmp_path, shape):
+        n, m = shape
+        rng = np.random.default_rng(n * 100 + m)
+        special = np.array(self.SPECIAL)
+        rows = rng.permutation(special)[:n]
+        cols = rng.permutation(special)[:m]
+        cells = np.resize(rng.permutation(special), n * m)
+        cells[1::3] = rng.choice([-1.0, 1.0], cells[1::3].size) * 10.0 ** rng.uniform(
+            -320, 308, cells[1::3].size)
+        table = csvio.long_form(rows, cols, cells.reshape(n, m))
+        self.check(tmp_path, ["row", "col", "cell"], table)
+        self.check(tmp_path, ["row", "col", "cell"], table, meta={})
+
+    def test_long_form_integer_axes(self, tmp_path):
+        self.check(tmp_path, ["a", "b", "c"],
+                   csvio.long_form([1, 10**17], np.arange(3), np.full((2, 3), 0.1)))
+        self.check(tmp_path, ["a", "b", "c"],
+                   csvio.long_form([1, 10**17], np.arange(3), np.arange(6).reshape(2, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (12,), (1, 3, 4), (3, 4, 1), ()])
+    def test_long_form_shape_mismatch(self, shape):
+        with pytest.raises(ModelError, match="matrix shape does not match axis lengths"):
+            csvio.long_form(np.arange(3.0), np.arange(4.0), np.zeros(shape))
+
+    def test_long_form_reads_back_bit_for_bit(self, tmp_path):
+        cfg = cli.validate_config("detuning_map", {"n_detunings": "3"})
+        result = cli.EXPERIMENTS["detuning_map"].compute(cfg)
+        name, header, table = result.tables[0]
+        assert cli.run(experiment="detuning_map", outdir=tmp_path,
+                       overrides={"n_detunings": 3}) == 0
+        _, read_header, data = csvio.read_csv(tmp_path / name)
+        assert read_header == header
+        assert data.tobytes() == _expanded(table).tobytes()
+
+    def test_string_cells_quoted(self, tmp_path):
+        labels = ["plain", "a, b", 'say "hi"', '"quoted", twice', "two\nlines", "cr\rlf",
+                  "100% (R^2=1)"]
+        rows = [(label, float(i), "PASS") for i, label in enumerate(labels)]
+        csvio.write_csv(tmp_path / "t.csv", ["check", "value", "status"], rows, {"n": 1})
+        parsed = _assert_header_width(tmp_path / "t.csv")
+        assert parsed[0] == ["check", "value", "status"]
+        assert [r[0] for r in parsed[1:]] == labels
+        text = (tmp_path / "t.csv").read_text(encoding="utf-8")
+        assert "\nplain,0,PASS\n" in text and '\n"a, b",1,PASS\n' in text
 
     @pytest.mark.parametrize("experiment", ["lifetime", "ramsey", "lineshape"])
     def test_fit_report_bytes(self, tmp_path, experiment):

@@ -93,6 +93,8 @@ MUTATIONS = [
      '    if set(map(str.count, body, repeat(","))) == {width - 1}:\n', "    if True:\n"),
     ("CSV body finiteness", "src/emitterlab/csvio.py",
      "            if np.all(np.isfinite(data)):\n", "            if True:\n"),
+    ("long-form matrix shape", "src/emitterlab/csvio.py",
+     "    if np.shape(matrix) != (n, m):\n", "    if False:\n"),
     # physics mutants: a small error in one model constant
     ("M1: pure dephasing x1.02", "src/emitterlab/tls.py",
      "        jumps.append(math.sqrt(2.0 * params.gamma_phi) * PROJ_EXCITED)\n",
