@@ -238,7 +238,7 @@ def _fitted(fit, value: str) -> str:
 def _curve(stem, xname, yname, x, y, title, xlabel) -> dict:
     """Result fields for one x-y table and its line plot."""
     return {
-        "tables": [(f"{stem}.csv", [xname, yname], zip(x, y))],
+        "tables": [(f"{stem}.csv", [xname, yname], list(zip(x, y)))],
         "plot": Plot(x, y, title, xlabel, yname),
     }
 

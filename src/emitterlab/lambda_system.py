@@ -145,15 +145,18 @@ def at_map2d(
     Rows follow ``delta_c_range`` (delta_C, GHz) ascending, columns
     ``delta_d_range`` (delta_D, GHz) ascending.  Each grid point's generator
     is the zero-detuning generator plus delta_C and delta_D times their
-    detuning superoperators.  The grid is solved in row-major blocks of
-    ``_MAP_BLOCK`` points, one stacked :func:`qdyn.steady_states` solve per
-    block, so memory stays bounded for any grid size.
+    detuning superoperators, all three converted to the real
+    :func:`qdyn.bloch` basis once per call.  The grid is solved in row-major
+    blocks of ``_MAP_BLOCK`` points, one stacked :func:`qdyn.steady_states`
+    solve per block, so memory stays bounded for any grid size.
     """
     dcs = TWO_PI * np.asarray(delta_c_range, dtype=float)
     dds = TWO_PI * np.asarray(delta_d_range, dtype=float)
-    l0 = lambda_liouvillian(params, LambdaDrive(omega_c, omega_d_ghz=omega_d))
-    a = qdyn.hamiltonian_superop(DETUNING_C)
-    b = qdyn.hamiltonian_superop(DETUNING_D)
+    l0, a, b = qdyn.bloch(np.stack([
+        lambda_liouvillian(params, LambdaDrive(omega_c, omega_d_ghz=omega_d)),
+        qdyn.hamiltonian_superop(DETUNING_C),
+        qdyn.hamiltonian_superop(DETUNING_D),
+    ]))
     fluor = np.empty(dcs.size * dds.size)
     for start in range(0, fluor.size, _MAP_BLOCK):
         point = np.arange(start, min(start + _MAP_BLOCK, fluor.size))

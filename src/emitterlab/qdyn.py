@@ -2,7 +2,8 @@
 
 All internal frequencies are angular (rad/ns) and all times are ns;
 public modules convert from ordinary GHz exactly once at their boundary.
-Density matrices and generators are plain complex numpy arrays; a
+Density matrices and generators are plain complex numpy arrays (but the
+real Bloch-basis generators of the stationary solves, below); a
 generator is the superoperator matrix acting on row-major ``vec(rho)``,
 (d^2, d^2), or a (..., d^2, d^2) stack of them.
 
@@ -37,11 +38,20 @@ stack of them: inputs, steady states and composed states are held to
 ``HERMITICITY_TOL`` and raise :class:`ModelError`; sampled trajectories
 are held to ``TRAJECTORY_HERMITICITY_TOL`` and raise
 :class:`NumericFailure`.  Positivity takes a 2x2 matrix's least eigenvalue in
-closed form, (p + q)/2 - hypot((p - q)/2, |c|), and ``eigvalsh`` for d > 2.
+closed form, (p + q)/2 - hypot((p - q)/2, |c|); for d > 2 one batched
+Cholesky factorization of rho + ``EIGENVALUE_TOL`` I shows every eigenvalue
+above -``EIGENVALUE_TOL``, and ``eigvalsh`` runs only when it fails.
+
+Stationary states are solved in the real Bloch basis: :func:`bloch` turns
+a generator into T^H L T, real for a Lindblad generator, with T the
+unitary whose columns are vec(G_k) of an orthonormal Hermitian basis
+(G_0 = I/sqrt(d)).  :func:`steady_states` takes such real stacks, so the
+solves, norms and residuals of a sweep run in real arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,9 +150,18 @@ def check_density_matrix(
 
 
 def _min_eigenvalue(rho: np.ndarray) -> np.ndarray:
-    """Least eigenvalue per matrix, read from the lower triangle as eigvalsh does."""
+    """Least eigenvalue per matrix, read from the lower triangle as eigvalsh does.
+
+    For d > 2 a stack whose rho + ``EIGENVALUE_TOL`` I all have a Cholesky
+    factor has every eigenvalue above -``EIGENVALUE_TOL``; it reads that
+    bound, and only a stack with a failed factor calls ``eigvalsh``.
+    """
     if rho.shape[-1] != 2:
-        return np.linalg.eigvalsh(rho)[..., 0]
+        try:
+            np.linalg.cholesky(rho + EIGENVALUE_TOL * np.eye(rho.shape[-1]))
+            return np.full(rho.shape[:-2], -EIGENVALUE_TOL)
+        except np.linalg.LinAlgError:
+            return np.linalg.eigvalsh(rho)[..., 0]
     p, q = rho[..., 0, 0].real, rho[..., 1, 1].real
     return 0.5 * (p + q) - np.hypot(0.5 * (p - q), np.abs(rho[..., 1, 0]))
 
@@ -572,33 +591,72 @@ def propagator(
 # -- steady state and correlators -------------------------------------------
 
 
-def steady_states(matrices: np.ndarray) -> np.ndarray:
-    """Unique stationary density matrices of a stack of generator matrices.
+@functools.lru_cache(maxsize=None)
+def _bloch_basis(d: int) -> np.ndarray:
+    """(d^2, d^2) unitary T whose column k is the row-major vec(G_k) of an
+    orthonormal Hermitian basis: G_0 = I / sqrt(d), then the generalized
+    Gell-Mann matrices (E_jk + E_kj) / sqrt(2) and i (E_kj - E_jk) / sqrt(2)
+    for j < k, and the traceless diagonals (read-only, built once per d)."""
+    basis = [np.eye(d) / math.sqrt(d)]
+    for j, k in itertools.combinations(range(d), 2):
+        sym = np.zeros((d, d), dtype=complex)
+        sym[j, k] = sym[k, j] = 1.0 / math.sqrt(2.0)
+        basis += [sym, 1j * (np.tril(sym) - np.triu(sym))]
+    for n in range(1, d):
+        diag = [1.0] * n + [-n] + [0.0] * (d - n - 1)
+        basis.append(np.diag(diag) / math.sqrt(n * (n + 1)))
+    t = np.stack([g.reshape(-1) for g in basis], axis=1)
+    t.flags.writeable = False
+    return t
 
-    ``matrices`` has shape (N, d^2, d^2); the result has shape (N, d, d).
-    One stacked solve inverts each A, L with its first row replaced by the
-    trace constraint; column 0 is the state.  That certifies a point unique,
-    one singular value of L below the cut ``STATIONARY_NULL_TOL`` x
+
+def bloch(l: np.ndarray) -> np.ndarray:
+    """Real T^H L T of a generator or (..., d^2, d^2) stack in the Bloch basis.
+
+    A Lindblad generator maps Hermitian matrices to Hermitian ones, so
+    (T^H L T)_jk = Tr[G_j L(G_k)] is real (the coherence-vector form; Alicki &
+    Lendi, Quantum Dynamical Semigroups and Applications, LNP 286, 1987), and
+    trace preservation makes row 0 zero.  The coordinates of rho are x = T^H
+    vec(rho), with Tr rho = sqrt(d) x_0.
+    """
+    l = np.asarray(l)
+    t = _bloch_basis(math.isqrt(l.shape[-1]))
+    return np.ascontiguousarray((t.conj().T @ l @ t).real)
+
+
+def steady_states(matrices: np.ndarray) -> np.ndarray:
+    """Unique stationary density matrices of a stack of Bloch-basis generators.
+
+    ``matrices`` has shape (N, d^2, d^2), real generators as :func:`bloch`
+    returns them; the result has shape (N, d, d).  One stacked real solve
+    inverts each A, L with its first row, zero by trace preservation,
+    replaced by the trace constraint [sqrt(d), 0, ...]; column 0 is the
+    state's coordinates x, and rho = T x.  Norms and singular values are
+    those of the complex generator, as T is unitary.  That certifies a point
+    unique, one singular value of L below the cut ``STATIONARY_NULL_TOL`` x
     max(largest, 1), when 1/|A^-1|_F <= sigma_min(A) <= sigma_2(L) is above
-    twice the cut (at most one) and sqrt(d) |L x| >= sigma_min(L) is below
-    it (at least one).  Other points have their singular values counted; a
-    count other than one raises :class:`ModelError`.  A residual |L x| not
-    below ``STEADY_STATE_RESIDUAL_TOL`` at any point raises
+    twice the cut (at most one; A differs from L in one row) and
+    sqrt(d) |L x| >= sigma_min(L) is below it (at least one).  Other points
+    have their singular values counted; a count other than one raises
+    :class:`ModelError`.  A residual |L x| not below
+    ``STEADY_STATE_RESIDUAL_TOL`` at any point raises
     :class:`NumericFailure` naming the worst one.
     """
-    m = np.asarray(matrices, dtype=complex)
+    if np.iscomplexobj(matrices):
+        raise ModelError("steady_states takes real Bloch-basis generators; see qdyn.bloch")
+    m = np.asarray(matrices, dtype=float)
     n, d2 = m.shape[:2]
     d = math.isqrt(d2)
     a = m.copy()
     a[:, 0, :] = 0.0
-    a[:, 0, :: d + 1] = 1.0
+    a[:, 0, 0] = math.sqrt(d)
     try:
-        inv = np.linalg.solve(a, np.broadcast_to(np.eye(d2, dtype=complex), a.shape))
+        inv = np.linalg.solve(a, np.broadcast_to(np.eye(d2), a.shape))
     except np.linalg.LinAlgError:
-        inv = np.full(a.shape, np.nan, dtype=complex)
-    vecs = inv[..., 0].copy()
+        inv = np.full(a.shape, np.nan)
+    vecs = inv[..., :1].copy()
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: not certified
-        residual = np.linalg.norm((m @ vecs[..., None])[..., 0], axis=1)
+        residual = np.linalg.norm((m @ vecs)[..., 0], axis=1)
         scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1.0)
         # the bound at twice the cut absorbs its own rounding
         certified = (np.linalg.norm(inv, axis=(1, 2)) * scale < 0.5 / STATIONARY_NULL_TOL) & (
@@ -616,14 +674,16 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
         raise NumericFailure(
             f"steady-state residual {worst:.3e} above {STEADY_STATE_RESIDUAL_TOL}"
         )
-    rhos = vecs.reshape(n, d, d)
-    rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
+    # member by member (a matrix-vector product each), so a state's bits do
+    # not depend on the batch
+    rhos = (_bloch_basis(d) @ vecs).reshape(n, d, d)
     return check_density_matrix(rhos, "steady state")
 
 
 def steady_state(l: np.ndarray) -> np.ndarray:
-    """Unique stationary density matrix of one generator: :func:`steady_states`, N = 1."""
-    return steady_states(l[None])[0]
+    """Unique stationary density matrix of one complex generator: its
+    :func:`bloch` form through :func:`steady_states`, N = 1."""
+    return steady_states(bloch(l[None]))[0]
 
 
 def regression_correlator(

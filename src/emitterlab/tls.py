@@ -359,7 +359,9 @@ def excitation_lineshape(
     detunings = np.asarray(detuning_range, dtype=float)
     if detunings.size < 5:
         raise ModelError("detuning range needs at least 5 points")
-    stack = _detuned_liouvillians(params, rabi_ghz, detunings)
+    l0, shift = qdyn.bloch(np.stack([tls_liouvillian(params, Drive(rabi_ghz=rabi_ghz)),
+                                     qdyn.hamiltonian_superop(DETUNING)]))
+    stack = l0 + TWO_PI * detunings[:, None, None] * shift
     pops = qdyn.steady_states(stack)[:, EXCITED, EXCITED].real
     half = 0.5 * np.max(pops)
     if pops[0] > half or pops[-1] > half:

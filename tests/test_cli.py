@@ -689,7 +689,17 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_steady_state_residual_exits_3(self, tmp_path, capsys):
+    def test_steady_state_residual_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a solve whose states are off by 1e-16 per Bloch coordinate, which
+        # the residual at Omega/2pi = 1e7 GHz resolves
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[..., 1:, 0] += 1e-16
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
         cfg = write_cfg(tmp_path, "experiment = lineshape\nrabi_ghz = 1e7\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
@@ -1164,6 +1174,18 @@ class TestCsvWriter:
         assert [r[0] for r in parsed[1:]] == labels
         text = (tmp_path / "t.csv").read_text(encoding="utf-8")
         assert "\nplain,0,PASS\n" in text and '\n"a, b",1,PASS\n' in text
+
+    @pytest.mark.parametrize("experiment", ["lineshape", "autler_map", "detuning_map"])
+    def test_result_written_twice_is_identical(self, tmp_path, experiment):
+        # a Result's table rows are re-iterable: a second write is not header-only
+        cfg = cli.validate_config(experiment, {})
+        result = cli.EXPERIMENTS[experiment].compute(cfg)
+        for out in ("first", "second"):
+            (tmp_path / out).mkdir()
+            cli._emit(experiment, cfg, result, tmp_path / out, plot=True)
+        first, second = ({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+                         for out in ("first", "second"))
+        assert len(first) >= 2 and first == second
 
     @pytest.mark.parametrize("experiment", ["lifetime", "ramsey", "lineshape"])
     def test_fit_report_bytes(self, tmp_path, experiment):

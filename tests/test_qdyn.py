@@ -72,12 +72,70 @@ class TestCheckDensityMatrix:
         assert np.max(np.abs(closed - np.linalg.eigvalsh(rhos)[:, 0])) <= 1e-15
 
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_three_level_positivity_at_the_tolerance(self, stacked):
+        # the Cholesky test of rho + 1e-9 I: an eigenvalue of -1e-8 fails it
+        # and is reported by eigvalsh, one of -1e-10 passes it
+        def state(low):
+            rho = _rotated(np.array([low, 0.5, 0.5 - low]), np.random.default_rng(3))
+            return np.array([np.eye(3) / 3, rho]) if stacked else rho
+
+        with pytest.raises(ModelError, match=r"has an eigenvalue -1\.000e-08 below -1e-09"):
+            qdyn.check_density_matrix(state(-1e-8))
+        qdyn.check_density_matrix(state(-1e-10))
+
+
 def _rotated(populations: np.ndarray, rng) -> np.ndarray:
     """Hermitian U diag(populations) U+ for a random unitary U."""
     d = populations.size
     u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     rho = (u * populations) @ u.conj().T
     return 0.5 * (rho + rho.conj().T)
+
+
+def _sample_generators():
+    """TLS and lambda generators over drives, detunings and dephasings."""
+    rng = np.random.default_rng(11)
+    tls_ls = [tls.tls_liouvillian(tls.TlsParams(1.85, t2), tls.Drive(r, dt))
+              for t2, r, dt in rng.uniform([0.3, 0.0, -2.0], [3.7, 5.0, 2.0], (20, 3))]
+    lambda_ls = [lam.lambda_liouvillian(lam.LambdaParams(0.27, g, 0.025, pe, pg),
+                                        lam.LambdaDrive(*drive))
+                 for g, pe, pg, *drive in rng.uniform([0.0, 0.0, 0.0, 0.0, -1, 0.0, -1],
+                                                      [0.5, 0.1, 0.05, 2.0, 1, 0.5, 1],
+                                                      (20, 7))]
+    return [np.array(tls_ls), np.array(lambda_ls)]
+
+
+class TestBloch:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_basis_is_unitary_and_hermitian(self, d):
+        t = qdyn._bloch_basis(d)
+        assert np.max(np.abs(t.conj().T @ t - np.eye(d * d))) <= 1e-15
+        assert np.array_equal(t[:, 0], np.eye(d).reshape(-1) / math.sqrt(d))
+        g = t.T.reshape(d * d, d, d)
+        assert np.array_equal(g, np.conj(np.swapaxes(g, 1, 2)))
+        assert qdyn._bloch_basis(d) is t
+
+    def test_generators_are_real_with_a_zero_first_row(self):
+        for stack in _sample_generators():
+            t = qdyn._bloch_basis(math.isqrt(stack.shape[-1]))
+            exact = t.conj().T @ stack @ t
+            scale = np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+            assert np.all(np.abs(exact.imag) <= 1e-15 * scale)
+            assert np.all(np.abs(exact[:, 0, :]) <= 1e-15 * scale[:, 0])
+            assert np.array_equal(qdyn.bloch(stack), exact.real)
+
+    def test_steady_states_match_the_complex_null_vector(self):
+        for stack in _sample_generators():
+            d = math.isqrt(stack.shape[-1])
+            null = np.linalg.svd(stack)[2][:, -1, :].conj().reshape(-1, d, d)
+            null /= np.trace(null, axis1=1, axis2=2)[:, None, None]
+            assert np.max(np.abs(qdyn.steady_states(qdyn.bloch(stack)) - null)) <= 1e-12
+
+    def test_complex_generators_rejected(self):
+        l = drive_liouvillian(1.85, 1.62, 0.5)
+        with pytest.raises(ModelError, match="real Bloch-basis generators"):
+            qdyn.steady_states(l[None])
 
 
 class TestBuildLiouvillian:
@@ -385,6 +443,19 @@ def _singular_value_null_count(stack: np.ndarray) -> np.ndarray:
     return np.sum(sv < qdyn.STATIONARY_NULL_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
 
 
+def _solve_off_by(monkeypatch, eps: float) -> None:
+    """From now on np.linalg.solve returns column 0 off by ``eps`` below row 0,
+    so a steady state keeps its trace but not its Bloch coordinates."""
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        x[..., 1:, 0] += eps
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+
+
 def _count_eigvals_calls(monkeypatch) -> list:
     """Shapes of the arrays passed to np.linalg.eigvals from now on."""
     shapes, eigvals = [], np.linalg.eigvals
@@ -431,7 +502,7 @@ class TestSteadyState:
         # a trace-losing generator: every state decays, nothing is stationary
         l = drive_liouvillian(1.85, 1.62, 0.5) - 0.1 * np.eye(4)
         with pytest.raises(ModelError, match="stationary subspace has dimension 0;"):
-            qdyn.steady_states(np.array([drive_liouvillian(1.85, 1.62, 0.5), l]))
+            qdyn.steady_states(qdyn.bloch(np.array([drive_liouvillian(1.85, 1.62, 0.5), l])))
 
     def test_stack_with_degenerate_point_rejected(self):
         good = drive_liouvillian(1.85, 1.62, 0.5)
@@ -440,12 +511,12 @@ class TestSteadyState:
             qdyn.steady_state(degenerate)
         stack = np.array([good, degenerate, good])
         with pytest.raises(ModelError) as stacked:
-            qdyn.steady_states(stack)
+            qdyn.steady_states(qdyn.bloch(stack))
         assert str(stacked.value) == str(single.value)
 
     def test_stack_equals_single_solves(self):
         ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 0.9)]
-        rhos = qdyn.steady_states(np.array(ls))
+        rhos = qdyn.steady_states(qdyn.bloch(np.array(ls)))
         for l, rho in zip(ls, rhos):
             assert np.array_equal(rho, qdyn.steady_state(l))
 
@@ -460,20 +531,24 @@ class TestSteadyState:
         monkeypatch.setattr(np.linalg, "solve", singular)
         eigvals_shapes = _count_eigvals_calls(monkeypatch)
         with pytest.raises(NumericFailure, match=r"^steady-state residual nan above 1e-10$"):
-            qdyn.steady_states(np.array(ls))
+            qdyn.steady_states(qdyn.bloch(np.array(ls)))
         assert eigvals_shapes == []
 
-    def test_huge_drive_residual_raises(self):
-        # at Omega/2pi = 1e7 GHz the unique solve misses the residual
-        # tolerance; the error names the residual, not a propagation failure
+    def test_huge_drive_residual_raises(self, monkeypatch):
+        # at Omega/2pi = 1e7 GHz the real solve meets the tolerance, but a
+        # state off by 1e-16 per coordinate, rounding size, misses it by far;
+        # the error names the residual, not a propagation failure
         l = drive_liouvillian(1.85, 1.62, 1e7)
+        assert qdyn.steady_state(l)[1, 1].real == pytest.approx(0.5, abs=1e-12)
+        _solve_off_by(monkeypatch, 1e-16)
+        assert qdyn.steady_state(drive_liouvillian(1.85, 1.62, 1.0)).shape == (2, 2)
         with pytest.raises(NumericFailure, match=r"^steady-state residual \S+ above 1e-10$"):
             qdyn.steady_state(l)
 
     def test_steady_states_never_calls_eigvals(self, monkeypatch):
         eigvals_shapes = _count_eigvals_calls(monkeypatch)
         ls = [drive_liouvillian(1.85, 1.62, r) for r in (0.0, 0.3, 0.9)]
-        qdyn.steady_states(np.array(ls))
+        qdyn.steady_states(qdyn.bloch(np.array(ls)))
         lam.at_map2d(lam.LambdaParams(), 2.0, 0.1, [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
         assert eigvals_shapes == []
 
@@ -488,7 +563,7 @@ class TestSteadyState:
             assert rejected.size > 0
             for i in rejected:
                 with pytest.raises(ModelError) as err:
-                    qdyn.steady_states(stack[i:i + 1])
+                    qdyn.steady_states(qdyn.bloch(stack[i:i + 1]))
                 dimension = message.fullmatch(str(err.value))
                 assert dimension is not None, str(err.value)
                 # the doubled cut may count one more near-null direction
@@ -503,10 +578,10 @@ class TestSteadyState:
             reference = _singular_value_null_count(stack)
             accepted = np.flatnonzero(reference == 1)
             assert accepted.size > 0
-            assert qdyn.steady_states(stack[accepted]).shape[0] == accepted.size
+            assert qdyn.steady_states(qdyn.bloch(stack[accepted])).shape[0] == accepted.size
             for i in np.flatnonzero(reference != 1):
                 with pytest.raises(ModelError) as err:
-                    qdyn.steady_states(stack[i:i + 1])
+                    qdyn.steady_states(qdyn.bloch(stack[i:i + 1]))
                 assert str(err.value).startswith(
                     f"stationary subspace has dimension {reference[i]}; ")
 
