@@ -2,8 +2,8 @@
 
 All internal frequencies are angular (rad/ns) and all times are ns;
 public modules convert from ordinary GHz exactly once at their boundary.
-Density matrices and generators are plain complex numpy arrays (but the
-real Bloch-basis generators of the stationary solves, below); a
+Density matrices and generators are plain complex numpy arrays, except
+the real Bloch-basis generators of the stationary solves (below); a
 generator is the superoperator matrix acting on row-major ``vec(rho)``,
 (d^2, d^2), or a (..., d^2, d^2) stack of them.
 
