@@ -2,21 +2,27 @@
 
 All internal frequencies are angular (rad/ns) and all times are ns;
 public modules convert from ordinary GHz exactly once at their boundary.
-Density matrices and generators are plain complex numpy arrays, except
-the real Bloch-basis generators of the stationary solves (below); a
-generator is the superoperator matrix acting on row-major ``vec(rho)``,
-(d^2, d^2), or a (..., d^2, d^2) stack of them.
+Density matrices, and generators acting on row-major ``vec(rho)``,
+(d^2, d^2) or (..., d^2, d^2) stacks, come in and go out as complex arrays;
+inside, every layer runs in real arithmetic.  Propagation uses the
+coordinates x = (rho_jj; Re rho_jk, Im rho_jk), vec(rho) = S x, in which
+samples are rebuilt exactly (:func:`_coordinates`); a block that is not
+Hermitian (a propagator's identity, a correlator's operator) carries its
+imaginary part as extra real columns.  Stationary solves use the unitary
+Bloch basis of :func:`bloch`, which keeps the generator's singular values.
 
 One kernel advances a block of vectors through a schedule: the time span
 is split at the samples and at drive-segment edges, and consecutive equal
 pieces form runs.  A constant-drive run is one exact map exp(h L), a
-[13/13] Padé approximant with scaling and squaring, applied to its
-samples by doubling (O(log n) matrix products).  A schedule of constant
-pieces only, as under square pulses or no drive, is propagated once.  A
-shaped-pulse run (gaussian pulses, ramped square edges) takes classical
-fixed-step 4th-order Runge-Kutta steps; the RK4 update is linear in the
-state, so each step is a fixed map on ``vec(rho)``, built stacked in
-fixed-size blocks and applied in order.  The engine alone picks that
+[13/13] Padé approximant with scaling and squaring, each connected block
+of the generator scaled by its own norm, applied to its samples by
+doubling (O(log n) matrix products).  A schedule of constant pieces only,
+as under square pulses or no drive, is propagated once.  A shaped-pulse
+run (gaussian pulses, ramped square edges) takes classical fixed-step
+4th-order Runge-Kutta steps; the RK4 update is linear in the state, so
+each step is a fixed map, built stacked in fixed-size blocks, and a
+window of ``_WINDOW`` piece maps is applied to the state by its prefix
+products q_j ... q_1 in one batched product.  The engine alone picks that
 step: the period of the fastest generator / ``_STEPS_PER_PERIOD``.  A
 schedule with a shaped piece is verified by re-running at half the step;
 the step is refined until consecutive results agree below
@@ -28,9 +34,9 @@ strength included; segments carry the unit envelope) may be broadcasting
 stacks whose members share the initial state, the schedule and one RK4
 step, that of the fastest undriven or fully driven member, and step
 halving refines on the maximum over the batch.  Each member's exact maps
-are scaled and squared alone, and its shaped-pulse maps are chained alike
-in any batch, so it equals its lone run bitwise whenever both take the
-same step and refinement count.
+are scaled and squared alone, and its shaped-pulse maps are chained and
+windowed alike in any batch, so it equals its lone run bitwise whenever
+both take the same step and refinement count.
 :func:`evolve` and :func:`evolve_driven` share one body: check the initial
 state, run the verified propagation, check every sample of every member.
 :func:`check_density_matrix` is the one validity check, for a matrix or a
@@ -41,12 +47,6 @@ are held to ``TRAJECTORY_HERMITICITY_TOL`` and raise
 closed form, (p + q)/2 - hypot((p - q)/2, |c|); for d > 2 one batched
 Cholesky factorization of rho + ``EIGENVALUE_TOL`` I shows every eigenvalue
 above -``EIGENVALUE_TOL``, and ``eigvalsh`` runs only when it fails.
-
-Stationary states are solved in the real Bloch basis: :func:`bloch` turns
-a generator into T^H L T, real for a Lindblad generator, with T the
-unitary whose columns are vec(G_k) of an orthonormal Hermitian basis
-(G_0 = I/sqrt(d)).  :func:`steady_states` takes such real stacks, so the
-solves, norms and residuals of a sweep run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -222,6 +222,52 @@ def build_liouvillian(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
     return hamiltonian_superop(h) + dissipator_superop(jump_arrays, dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinates(d: int) -> tuple:
+    """Read-only (S, S^-1, (Re S^T, Im S^T)), vec(rho) = S x for the
+    propagation coordinates x = (rho_jj; Re rho_jk, Im rho_jk for j < k).
+
+    A Lindblad generator is real in them (the coherence-vector form;
+    Alicki & Lendi, LNP 286, 1987).  S holds only 0, 1 and +-i and S^-1 = w
+    S^H with w = 1 or 1/2, so populations and coherences are read back
+    exactly (g2 at zero delay stays 0.0), and a zero the physics makes
+    exact stays one for :func:`_expm` to split at; the unitary Bloch basis
+    of the stationary solves mixes them by 1/sqrt(d)."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    s[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    for n, (j, k) in enumerate(itertools.combinations(range(d), 2)):
+        s[[j * d + k, k * d + j], d + 2 * n:d + 2 * n + 2] = [[1.0, 1j], [1.0, -1j]]
+    s_inv = np.where(np.arange(d * d) < d, 1.0, 0.5)[:, None] * s.conj().T
+    parts = np.ascontiguousarray(s.real.T), np.ascontiguousarray(s.imag.T)
+    for a in (s, s_inv, *parts):
+        a.flags.writeable = False
+    return s, s_inv, parts
+
+
+def _real_form(l: np.ndarray) -> np.ndarray:
+    """Real S^-1 L S of a (..., d^2, d^2) stack; a generator that does not
+    preserve Hermiticity is complex there and raises :class:`ModelError`."""
+    s, s_inv = _coordinates(math.isqrt(l.shape[-1]))[:2]
+    g = s_inv @ l @ s
+    if abs(g.imag).max(initial=0.0) > HERMITICITY_TOL * max(abs(g.real).max(initial=0.0), 1.0):
+        raise ModelError("generator does not preserve Hermiticity; its real form is complex")
+    return np.ascontiguousarray(g.real)
+
+
+def _rebuild(x: np.ndarray, k: int) -> np.ndarray:
+    """Complex (..., D, k) vec(rho) = S x of real (..., D, k) coordinates, by
+    two real products, or of (..., D, 2k) ones whose last k columns are the
+    imaginary parts."""
+    s, _, (s_re, s_im) = _coordinates(math.isqrt(x.shape[-2]))
+    if x.shape[-1] != k:
+        return s @ (x[..., :k] + 1j * x[..., k:])
+    rows = np.swapaxes(x, -1, -2).reshape(-1, x.shape[-2])
+    v = np.empty((*x.shape[:-2], k, x.shape[-2]), dtype=complex)
+    flat = v.reshape(rows.shape)
+    flat.real, flat.imag = rows @ s_re, rows @ s_im
+    return np.swapaxes(v, -1, -2)
+
+
 def _rk4_step(eigs: np.ndarray) -> float:
     """Internal RK4 step for generators with eigenvalues ``eigs``: the period
     of the fastest / ``_STEPS_PER_PERIOD``, or inf when every one is 0.
@@ -250,20 +296,32 @@ _MAX_SQUARINGS = int(math.log2(STEP_HALVING_TOL / np.finfo(float).eps))
 
 def _expm(m: np.ndarray, h: float) -> np.ndarray:
     """exp(h m) for each matrix of an (N, D, D) stack: [13/13] Padé
-    approximant with scaling and squaring.  Each member is scaled by its own
-    power of two and squared back alone, so its bits do not depend on the
-    rest of the stack."""
+    approximant with scaling and squaring.  Each connected block of a
+    member's nonzero pattern is scaled by its own power of two and squared
+    back alone (the Padé and the squarings keep the zeros between blocks
+    exact), so a slow block, such as the populations under fast dephasing,
+    is not squared with the fastest one, and a member's bits do not depend
+    on the rest of the stack."""
     with np.errstate(over="ignore"):  # an overflow is caught as an inf norm
-        norm = h * np.max(np.sum(np.abs(m), axis=-2), axis=-1, initial=0.0)
+        col = np.sum(np.abs(m), axis=-2)
+        norm = h * np.max(col, axis=-1, initial=0.0)
     if not np.all(norm <= _THETA13 * 2.0**_MAX_SQUARINGS):
         raise NumericFailure(
             f"piece map exp(h L) with |h L|_1 = {np.max(norm):.3g} (h = {h:.3g} ns) "
             f"needs more than {_MAX_SQUARINGS} squarings"
         )
-    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    a = m * (h * np.exp2(-s))[:, None, None]
+    size = m.shape[-1]
+    s = np.zeros(col.shape, dtype=int)  # squarings per column, those of its block
+    if np.any(norm > _THETA13):
+        nonzero = m != 0
+        reach = nonzero | np.swapaxes(nonzero, -1, -2) | np.eye(size, dtype=bool)
+        for _ in range((size - 1).bit_length()):  # paths of up to size - 1 steps
+            reach = reach @ reach
+        block_norm = h * np.max(np.where(reach, col[:, None, :], 0.0), axis=-1)
+        s = np.ceil(np.log2(np.maximum(block_norm, _THETA13) / _THETA13)).astype(int)
+    a = m * (h * np.exp2(-s))[:, None, :]
     b = _PADE13
-    eye = np.eye(a.shape[-1])
+    eye = np.eye(size)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -272,9 +330,11 @@ def _expm(m: np.ndarray, h: float) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for k in range(int(np.max(s, initial=0))):
-        sq = s > k
-        r[sq] = r[sq] @ r[sq]
+    top = np.max(s, axis=-1, initial=0)
+    for k in range(int(np.max(top, initial=0))):
+        sq = top > k
+        rk = r[sq]
+        r[sq] = np.where(s[sq, None, :] > k, rk @ rk, rk)
     return r
 
 
@@ -291,6 +351,9 @@ Segment = tuple[float, float, "float | Callable[[np.ndarray], np.ndarray]"]
 # Shaped runs build at most this many one-step RK4 maps at a time, over batch
 # members, pieces and steps, so memory grows with neither trace nor batch.
 _STEP_BLOCK = 1024
+# Shaped runs apply their piece maps by prefix products over windows of this
+# many pieces, fixed so that a batch member's bits are those of its lone run.
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -390,8 +453,9 @@ _TERM, _WORD, _STAGES = (np.array(x) for x in zip(*[
 
 
 def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int):
-    """Yield the (N, D, D) maps of ``n_steps`` RK4 steps of
-    v' = (m0 + amp(t) c) v from each start in turn.
+    """Yield the maps of ``n_steps`` RK4 steps of v' = (m0 + amp(t) c) v
+    from each start, as (N, w, D, D) stacks of ``_WINDOW`` pieces (fewer
+    in the last).
 
     A one-step map is I plus the word products of m0 and c, built once,
     weighted by envelope monomials.  Each member chains its steps in runs of
@@ -407,14 +471,13 @@ def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int):
         products[w] = products[w[:-1]] @ op if len(w) > 1 else op
     weight = np.array([h**p * f for _, p, f in _RK4_TERMS])[_TERM, None, None]
     terms = np.stack([products[_WORDS[w]] for w in _WORD], axis=1) * weight
-    # as (re, im) pairs, so the real coefficients need no complex product
-    terms = terms.reshape(n, _TERM.size, size * size).view(float)
-    eye = np.eye(size, dtype=complex)
+    terms = terms.reshape(n, _TERM.size, size * size)
+    eye = np.eye(size)
     run = min(n_steps, _STEP_BLOCK)
     members = min(max(n, 1), _STEP_BLOCK // run)
     pieces = max(1, _STEP_BLOCK // (run * members))
-    for i0 in range(0, starts.size, pieces):
-        group = starts[i0:i0 + pieces]
+
+    def piece_maps(group):
         total = None
         for j0 in range(0, n_steps, run):
             t = group[:, None] + np.arange(j0, min(j0 + run, n_steps)) * h
@@ -422,16 +485,21 @@ def _shaped_maps(m0, c, amp, starts: np.ndarray, h: float, n_steps: int):
             env = np.concatenate([env, np.ones((1, *t.shape))])
             coef = np.prod(env[_STAGES], axis=1).reshape(_TERM.size, -1).T
             maps = np.concatenate([
-                _chain(eye + (coef @ part).view(complex).reshape(-1, *t.shape, size, size))
+                _chain(eye + (coef @ part).reshape(-1, *t.shape, size, size))
                 for part in np.split(terms, range(members, n, members))
             ])
             total = maps if total is None else maps @ total
-        yield from np.swapaxes(total, 0, 1)
+        return total
+
+    for w0 in range(0, starts.size, _WINDOW):
+        window = starts[w0:w0 + _WINDOW]
+        yield np.concatenate([piece_maps(window[i:i + pieces])
+                              for i in range(0, window.size, pieces)], axis=1)
 
 
 def _orbit(q: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """[q v, q^2 v, ..., q^n v] by doubling: block[m:2m] = q^m @ block[:m]."""
-    out = np.empty((n, *v.shape), dtype=complex)
+    out = np.empty((n, *v.shape))
     out[0] = q @ v
     m, qm = 1, q
     while m < n:
@@ -443,26 +511,36 @@ def _orbit(q: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _propagate(m0, c, runs: list, block: np.ndarray, n_points: int, scale: int) -> np.ndarray:
-    """Sampled states of v' = (m0 + a(t) c) v for one (D, k) block of vectors,
-    under each of the N members of the (N, D, D) stacks ``m0`` and ``c``.
+    """Sampled states of x' = (m0 + a(t) c) x for one real (D, k) block of
+    vectors, under each of the N members of the real (N, D, D) stacks
+    ``m0`` and ``c``.
 
     A constant run is its exact map exp(length (m0 + a c)), applied to its
-    samples by doubling; a shaped run applies its stacked piece maps in
-    order, at ``scale`` times its base RK4 step count.  Returns shape
+    samples by doubling; a shaped run applies its windows of piece maps,
+    at ``scale`` times its base RK4 step count.  Returns shape
     (n_points, N, D, k).
     """
-    out = np.empty((n_points, m0.shape[0], *block.shape), dtype=complex)
-    out[0] = v = np.broadcast_to(block, out.shape[1:])
+    out = np.empty((n_points, m0.shape[0], *block.shape))
+    out[0] = block
+    v = out[0]
     i = 1
     for run in runs:
         n = run.starts.size
         if callable(run.amp):
             n_steps = run.n_steps * scale
             for q in _shaped_maps(m0, c, run.amp, run.starts, run.length / n_steps, n_steps):
-                v = q @ v
-                if run.sampled:
-                    out[i] = v
-                    i += 1
+                if not run.sampled:
+                    v = _chain(q) @ v
+                    continue
+                # prefix products q_j ... q_1 in place (Hillis & Steele, Commun.
+                # ACM 29, 1170 (1986)), then every sample of the window at once
+                w, k = q.shape[1], 1
+                while k < w:
+                    q[:, k:] = q[:, k:] @ q[:, :-k]
+                    k *= 2
+                out[i:i + w] = np.swapaxes(q @ v[:, None], 0, 1)
+                v = out[i + w - 1]
+                i += w
         elif run.sampled:
             out[i:i + n] = _orbit(_expm(m0 + run.amp * c, run.length), v, n)
             v = out[i + n - 1]
@@ -477,21 +555,26 @@ def _max_abs(diff: np.ndarray) -> float:
 
 
 def _verified_propagation(m0, c, segments, block, grid: TimeGrid, error=_max_abs) -> np.ndarray:
-    """:func:`_propagate` checked finite and, when a segment is shaped,
-    refined by step halving until ``error(cur - prev)``, taken over the
-    whole batch, falls below ``STEP_HALVING_TOL``.
+    """:func:`_propagate` in real coordinates, checked finite and, when a
+    segment is shaped, refined by step halving until ``error(cur - prev)``
+    of the rebuilt samples, over the whole batch, falls below
+    ``STEP_HALVING_TOL``.
 
     ``m0`` and ``c`` broadcast as (..., D, D) stacks (``c`` is 0.0 when
     undriven).  The base RK4 step of shaped runs is the :func:`_rk4_step`
     of the batch's undriven ``m0`` and fully driven ``m0 + c``; segment
     envelopes are at most 1 in modulus.  A schedule of constant pieces
     only is exact and propagated once.  Returns shape
-    (*batch, n_points, D, k).
+    (*batch, n_points, D, k), complex like the (D, k) ``block``.
     """
     batch = np.broadcast_shapes(np.shape(m0)[:-2], np.shape(c)[:-2])
     size = np.shape(m0)[-1]
-    m0, c = (np.broadcast_to(x, (*batch, size, size)).reshape(-1, size, size)
-             for x in (m0, c))
+    m0, c = ((np.zeros((*batch, size, size)) + (_real_form(x) if np.ndim(x) else x))
+             .reshape(-1, size, size) for x in (m0, c))
+    # a Hermitian block is real in the coordinates; any other carries its
+    # imaginary part as k more columns
+    x, k = _coordinates(math.isqrt(size))[1] @ block, block.shape[-1]
+    x = x.real if not np.any(x.imag) else np.concatenate([x.real, x.imag], axis=-1)
     shaped = any(callable(a) for _, _, a in segments)
     dt_int = _rk4_step(np.linalg.eigvals(np.concatenate([m0, m0 + c]))) if shaped else math.inf
     if not dt_int > 0:
@@ -499,9 +582,10 @@ def _verified_propagation(m0, c, segments, block, grid: TimeGrid, error=_max_abs
     runs = _schedule(grid, segments, dt_int)
     prev = None
     for refinement in range(_MAX_STEP_REFINEMENTS + 1 if shaped else 1):
-        cur = _propagate(m0, c, runs, block, grid.n_points, 2**refinement)
+        cur = _propagate(m0, c, runs, x, grid.n_points, 2**refinement)
         if not np.all(np.isfinite(cur)):
             raise NumericFailure("non-finite values during evolution")
+        cur = _rebuild(cur, k)
         if not shaped or refinement and error(cur - prev) < STEP_HALVING_TOL:
             return np.moveaxis(cur, 0, 1).reshape(*batch, grid.n_points, *block.shape)
         prev = cur
@@ -596,7 +680,9 @@ def _bloch_basis(d: int) -> np.ndarray:
     """(d^2, d^2) unitary T whose column k is the row-major vec(G_k) of an
     orthonormal Hermitian basis: G_0 = I / sqrt(d), then the generalized
     Gell-Mann matrices (E_jk + E_kj) / sqrt(2) and i (E_kj - E_jk) / sqrt(2)
-    for j < k, and the traceless diagonals (read-only, built once per d)."""
+    for j < k, and the traceless diagonals (read-only, built once per d).
+    Stationary solves use it, not :func:`_coordinates`, because it is
+    unitary: the uniqueness certificate needs L's norms and singular values."""
     basis = [np.eye(d) / math.sqrt(d)]
     for j, k in itertools.combinations(range(d), 2):
         sym = np.zeros((d, d), dtype=complex)
@@ -661,14 +747,15 @@ def steady_states(matrices: np.ndarray) -> np.ndarray:
         # the bound at twice the cut absorbs its own rounding
         certified = (np.linalg.norm(inv, axis=(1, 2)) * scale < 0.5 / STATIONARY_NULL_TOL) & (
             residual * math.sqrt(d) < STATIONARY_NULL_TOL)
-    sv = np.linalg.svd(m[~certified], compute_uv=False)
-    n_null = np.sum(sv < STATIONARY_NULL_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
-    if np.any(n_null != 1):
-        raise ModelError(
-            f"stationary subspace has dimension {n_null[n_null != 1][0]}; steady "
-            "state is not unique. Integrate for a long time from a chosen "
-            "initial state instead."
-        )
+    if not np.all(certified):
+        sv = np.linalg.svd(m[~certified], compute_uv=False)
+        n_null = np.sum(sv < STATIONARY_NULL_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
+        if np.any(n_null != 1):
+            raise ModelError(
+                f"stationary subspace has dimension {n_null[n_null != 1][0]}; steady "
+                "state is not unique. Integrate for a long time from a chosen "
+                "initial state instead."
+            )
     worst = np.max(residual, initial=0.0)  # nan when a failed solve left no state
     if not worst < STEADY_STATE_RESIDUAL_TOL:
         raise NumericFailure(

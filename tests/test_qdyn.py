@@ -215,12 +215,15 @@ class TestEvolve:
         segments = [(0.0, 1.0, lambda t: t)]
         v0 = np.full((4, 1), 0.5, dtype=complex)
         exact = eig_expm(l0 + 0.5 * c) @ v0[:, 0]
+        # the kernel runs in the real coordinates of the populations and coherences
+        m0, m1 = qdyn._real_form(np.array([l0, c]))[:, None]
+        x0 = (qdyn._coordinates(2)[1] @ v0).real
         dts = np.array([0.1, 0.05, 0.025, 0.0125, 0.00625])
         errs = []
         for dt in dts:
             runs = qdyn._schedule(grid, segments, dt)
-            traj = qdyn._propagate(l0[None], c[None], runs, v0, grid.n_points, 1)
-            errs.append(np.max(np.abs(traj[-1, 0, :, 0] - exact)))
+            traj = qdyn._propagate(m0, m1, runs, x0, grid.n_points, 1)
+            errs.append(np.max(np.abs(qdyn._rebuild(traj[-1, 0], 1)[:, 0] - exact)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 3.5 < slope < 4.5
 
@@ -678,9 +681,14 @@ class TestNumericGuards:
         assert passes == [1, 1, 1, 1]
         assert eigvals_shapes == []
 
+    def test_generator_must_preserve_hermiticity(self, decay_liouvillian):
+        # propagation runs in real coordinates, which hold Hermitian states only
+        with pytest.raises(ModelError, match="^generator does not preserve Hermiticity"):
+            qdyn.evolve(1j * decay_liouvillian, RHO_E, TimeGrid(0.0, 1.0, 2))
+
     def test_non_finite_propagation_rejected(self, monkeypatch, decay_liouvillian):
         def diverged(m0, c, runs, block, n_points, scale):
-            return np.full((n_points, m0.shape[0], *block.shape), np.nan, dtype=complex)
+            return np.full((n_points, m0.shape[0], *block.shape), np.nan)
 
         monkeypatch.setattr(qdyn, "_propagate", diverged)
         with pytest.raises(NumericFailure, match="^non-finite values during evolution$"):
@@ -713,6 +721,23 @@ class TestExpm:
             maps = qdyn._expm(stack, h)
             for k, m in enumerate(stack):
                 assert np.array_equal(maps[k], qdyn._expm(m[None], h)[0])
+
+
+    def test_fast_dephasing_keeps_the_trace(self):
+        # at T2 = 2e-8 ns the coherences need 2**24 squarings over 0.5-2 ns;
+        # the population block, which they do not touch, is scaled apart
+        l0 = qdyn.build_liouvillian(np.zeros((2, 2)), tls.decay_jumps(tls.TlsParams(1.85, 2e-8)))
+        m = qdyn._real_form(l0[None])
+        rhos = [RHO_E, np.array([[0.3, 0.2 - 0.4j], [0.2 + 0.4j, 0.7]])]
+        for tau in (0.5, 1.0, 2.0):
+            q = qdyn._expm(m, tau)[0]
+            assert q[2:, :2].tolist() == q[:2, 2:].tolist() == [[0.0, 0.0]] * 2
+            for rho in rhos:
+                x = q @ (qdyn._coordinates(2)[1] @ rho.reshape(-1, 1)).real
+                rho_t = qdyn._rebuild(x, 1).reshape(2, 2)
+                assert abs(np.trace(rho_t) - 1.0) <= 1e-15
+                assert rho_t[1, 1].real == pytest.approx(rho[1, 1].real * math.exp(-tau / 1.85),
+                                                          rel=1e-15, abs=1e-16)
 
 
 class TestTimeGrid:

@@ -199,6 +199,24 @@ class TestRabiTrace:
             lone = tls.rabi_traces(emitter_params, 1.304, [detunings[k]], pulse, grid)[0]
             assert np.array_equal(traces[k], lone)
 
+    def test_gaussian_members_equal_lone_runs(self, emitter_params):
+        # sampled shaped runs: the piece maps of a member and their prefix
+        # windows do not depend on the batch, so a gaussian scan member run
+        # alone gives the same bits
+        short = tls.PulseEnvelope("gaussian", 0.2, 12.5)
+        calib = tls.PowerCalib(20.0)
+        p_top = (4.2 * np.pi / short.area_factor())**2 * 1.85 * 1.62 * calib.p_sat_nw
+        powers = np.linspace(0.0, p_top, 70)
+        pops = tls.pulsed_rabi_scan(emitter_params, short, powers, calib)
+        assert pops[-1] == tls.pulsed_rabi_scan(emitter_params, short, powers[-1:], calib)[0]
+        pulse = tls.PulseEnvelope("gaussian", 5.0, 15.0)
+        grid = TimeGrid(0.0, 15.0, 1501)
+        detunings = [-0.5, 0.0, 0.5]
+        traces = tls.rabi_traces(emitter_params, 0.906, detunings, pulse, grid)
+        for k in (0, 2):
+            lone = tls.rabi_traces(emitter_params, 0.906, detunings[k:k + 1], pulse, grid)[0]
+            assert np.array_equal(traces[k], lone)
+
     def test_grid_must_cover_a_period(self, emitter_params):
         with pytest.raises(ModelError, match="period"):
             tls.rabi_trace_numeric(

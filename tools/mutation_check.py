@@ -3,11 +3,13 @@
 Each mutation below changes one site in a temporary copy of the tree
 (``src/``, ``tests/`` and ``pyproject.toml``) and runs
 ``pytest -x -q tests`` there.  A mutant must make the tests fail; one that
-passes means no test protects that site.  Two kinds of site are listed:
+passes means no test protects that site.  Three kinds of site are listed:
 
 * numerical guards, each disabled (the Cholesky positivity test loosened
-  a hundredfold): a density-matrix, piece-map, step-halving, steady-state,
-  correlator, fit or CSV check;
+  a hundredfold): a density-matrix, generator, piece-map, step-halving,
+  steady-state, correlator, fit or CSV check;
+* the kernel's prefix product over shaped-pulse pieces, with its pair
+  offset shifted by one;
 * physics mutants, each a 1-4% error in one model constant (dephasing,
   radiative rate, drive coupling, lambda pump coupling).  The engine's
   guards and the 2-5% anchors let them through; the exact closed-form rows
@@ -52,12 +54,18 @@ MUTATIONS = [
     ("Hamiltonian and coupling Hermiticity", QDYN,
      "    if np.max(np.abs(op - np.conj(np.swapaxes(op, -1, -2))), initial=0.0) > HERMITICITY_TOL:\n",
      "    if False:\n"),
+    ("generator Hermiticity preservation", QDYN,
+     "    if abs(g.imag).max(initial=0.0) > HERMITICITY_TOL * max(abs(g.real).max(initial=0.0), 1.0):\n",
+     "    if False:\n"),
     ("sample misalignment", QDYN,
      "    if (\n        np.any(hit >= tb.size)\n", "    if False and (\n        np.any(hit >= tb.size)\n"),
     ("piece-map squaring bound", QDYN,
      "    if not np.all(norm <= _THETA13 * 2.0**_MAX_SQUARINGS):\n", "    if False:\n"),
     ("step-count overflow", QDYN,
      "    if not np.all(n_steps < 2.0 ** (63 - _MAX_STEP_REFINEMENTS)):\n", "    if False:\n"),
+    ("prefix product pair offset k -> k+1", QDYN,
+     "                    q[:, k:] = q[:, k:] @ q[:, :-k]\n",
+     "                    q[:, k + 1:] = q[:, k + 1:] @ q[:, :-k - 1]\n"),
     ("step underflow", QDYN,
      "    if not dt_int > 0:\n", "    if False:\n"),
     ("non-finite values during evolution", QDYN,
@@ -66,7 +74,7 @@ MUTATIONS = [
      "        if not shaped or refinement and error(cur - prev) < STEP_HALVING_TOL:\n",
      "        if not shaped or refinement:\n"),
     ("steady-state uniqueness", QDYN,
-     "    if np.any(n_null != 1):\n", "    if False:\n"),
+     "        if np.any(n_null != 1):\n", "        if False:\n"),
     ("uniqueness certificate, residual leg", QDYN,
      "            residual * math.sqrt(d) < STATIONARY_NULL_TOL)\n", "            True)\n"),
     ("uniqueness certificate, norm leg", QDYN,
