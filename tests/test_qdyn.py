@@ -722,7 +722,6 @@ class TestExpm:
             for k, m in enumerate(stack):
                 assert np.array_equal(maps[k], qdyn._expm(m[None], h)[0])
 
-
     def test_fast_dephasing_keeps_the_trace(self):
         # at T2 = 2e-8 ns the coherences need 2**24 squarings over 0.5-2 ns;
         # the population block, which they do not touch, is scaled apart
